@@ -3,9 +3,10 @@ package bench
 // Reachability benchmark sweep over the three arbiter levels
 // (E15): sequential exploration with the composition memo disabled
 // (the seed baseline), sequential with memo, and the parallel sharded
-// explorer at several worker counts. Each row records wall-clock time
-// and the speedup against the uncached sequential baseline on the
-// same system.
+// explorer at several worker counts. Each row records wall-clock time,
+// the speedup against the uncached sequential baseline on the same
+// system, the host it ran on, and — for one-worker rows —
+// allocations per state, which the bench gate bounds.
 
 import (
 	"context"
@@ -13,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -43,6 +46,43 @@ type ExploreRow struct {
 	NS int64 `json:"ns"`
 	// Speedup is serial-nomemo NS divided by this row's NS.
 	Speedup float64 `json:"speedup"`
+	// AllocsPerState is the fewest heap allocations per reached state
+	// over the reps, recorded only for rows explored by one worker,
+	// where the count is deterministic; 0 means not recorded.
+	AllocsPerState float64 `json:"allocs_per_state,omitempty"`
+	// Host is the machine and source revision the row was measured on.
+	Host *Host `json:"host,omitempty"`
+}
+
+// Host is the provenance of a measurement: the machine's CPU count,
+// the Go scheduler's parallelism and toolchain version, and the VCS
+// revision the binary was built from ("unknown" when the build
+// carries none, e.g. under go run or go test).
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+	Dirty      string `json:"dirty"`
+}
+
+// currentHost reads the provenance of the running process.
+func currentHost() *Host {
+	h := &Host{
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Commit: "unknown", Dirty: "unknown",
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				h.Commit = kv.Value
+			case "vcs.modified":
+				h.Dirty = kv.Value
+			}
+		}
+	}
+	return h
 }
 
 // ExploreConfig parameterizes the sweep.
@@ -151,7 +191,7 @@ func SystemOn(level int, tr *graph.Tree) (ioa.Automaton, error) {
 // exploreMeasure times one exploration mode on freshly built systems,
 // returning the best of reps runs.
 func exploreMeasure(level int, cfg ExploreConfig, mode string, workers int) (ExploreRow, error) {
-	row := ExploreRow{System: fmt.Sprintf("arbiter%d", level), Mode: mode, Workers: workers}
+	row := ExploreRow{System: fmt.Sprintf("arbiter%d", level), Mode: mode, Workers: workers, Host: currentHost()}
 	limit := cfg.Limit
 	if limit <= 0 {
 		limit = explore.DefaultLimit
@@ -178,9 +218,19 @@ func exploreMeasure(level int, cfg ExploreConfig, mode string, workers int) (Exp
 			w = 1
 		}
 		eng := explore.New(explore.Options{Workers: w, Limit: limit})
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		mallocs := mem.Mallocs
 		start := now()
 		states, err = eng.Reach(context.Background(), a)
 		elapsed := now().Sub(start).Nanoseconds()
+		runtime.ReadMemStats(&mem)
+		if w == 1 && len(states) > 0 {
+			perState := float64(mem.Mallocs-mallocs) / float64(len(states))
+			if row.AllocsPerState == 0 || perState < row.AllocsPerState {
+				row.AllocsPerState = perState
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, explore.ErrLimit) {
 				return row, err
@@ -251,8 +301,8 @@ func WriteExploreJSON(w io.Writer, rows []ExploreRow) error {
 func PrintExplore(w io.Writer, rows []ExploreRow) {
 	title := "Reachability: serial vs memoized vs parallel (best-of-reps wall clock)"
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	fmt.Fprintf(w, "%-10s %-14s %8s %8s %12s %9s\n",
-		"system", "mode", "workers", "states", "ns", "speedup")
+	fmt.Fprintf(w, "%-10s %-14s %8s %8s %12s %9s %12s\n",
+		"system", "mode", "workers", "states", "ns", "speedup", "allocs/state")
 	for _, r := range rows {
 		workers := "-"
 		if r.Mode == "parallel" {
@@ -262,8 +312,12 @@ func PrintExplore(w io.Writer, rows []ExploreRow) {
 		if r.Truncated {
 			states += "+"
 		}
-		fmt.Fprintf(w, "%-10s %-14s %8s %8s %12d %8.2fx\n",
-			r.System, r.Mode, workers, states, r.NS, r.Speedup)
+		allocs := "-"
+		if r.AllocsPerState > 0 {
+			allocs = fmt.Sprintf("%.1f", r.AllocsPerState)
+		}
+		fmt.Fprintf(w, "%-10s %-14s %8s %8s %12d %8.2fx %12s\n",
+			r.System, r.Mode, workers, states, r.NS, r.Speedup, allocs)
 	}
 	fmt.Fprintln(w)
 }

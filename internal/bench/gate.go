@@ -7,7 +7,10 @@ package bench
 // files were produced with and compares row by row — state counts
 // must match exactly (the engines are deterministic, so any drift is
 // a real behavioral change), wall times may drift only within a noise
-// threshold (machines differ; order-of-magnitude regressions do not).
+// threshold (machines differ; order-of-magnitude regressions do not),
+// and allocations per state, where recorded, may grow by at most
+// allocSlack (one-worker runs allocate deterministically, so this
+// catches a 2× regression that the wall threshold cannot).
 // The expensive certification files (store, stabilize, induct,
 // reduction) are validated structurally: they must parse, their
 // verdicts must be internally consistent, and the negative controls
@@ -51,7 +54,7 @@ type GateConfig struct {
 type GateCheck struct {
 	File   string `json:"file"`
 	Key    string `json:"key"`
-	Aspect string `json:"aspect"` // "states", "wall", "verdict", "schema"
+	Aspect string `json:"aspect"` // "states", "wall", "allocs", "verdict", "schema"
 	OK     bool   `json:"ok"`
 	Detail string `json:"detail,omitempty"`
 }
@@ -64,18 +67,27 @@ type GateResult struct {
 
 // A TrajectoryPoint is one committed or fresh measurement in gate
 // form: a row identity, an exact signal (the deterministic state
-// count), and a noisy signal (wall ns).
+// count), a noisy signal (wall ns), and a near-deterministic one
+// (allocations per state; 0 when the row records none).
 type TrajectoryPoint struct {
 	Key    string
 	States int64
 	NS     int64
+	Allocs float64
 }
+
+// allocSlack is the tolerated growth of allocations per state: a
+// fresh count regresses when it exceeds the committed one by more
+// than 10%.
+const allocSlack = 1.10
 
 // CompareTrajectory compares fresh measurements against a committed
 // baseline point by point: every baseline key must be present fresh,
-// state counts must match exactly, and fresh·handicap must stay
-// within threshold× the committed wall time. Extra fresh keys are
-// ignored — the baseline defines the contract.
+// state counts must match exactly, fresh·handicap must stay within
+// threshold× the committed wall time, and where the committed point
+// records allocations per state the fresh count must stay within
+// allocSlack of it. Extra fresh keys are ignored — the baseline
+// defines the contract.
 func CompareTrajectory(file string, base, fresh []TrajectoryPoint, threshold, handicap float64) []GateCheck {
 	byKey := make(map[string]TrajectoryPoint, len(fresh))
 	for _, p := range fresh {
@@ -104,6 +116,15 @@ func CompareTrajectory(file string, base, fresh []TrajectoryPoint, threshold, ha
 			wc.Detail = fmt.Sprintf("wall %dns vs committed %dns", f.NS, b.NS)
 		}
 		checks = append(checks, wc)
+		if b.Allocs > 0 {
+			ac := GateCheck{File: file, Key: b.Key, Aspect: "allocs",
+				OK:     f.Allocs <= b.Allocs*allocSlack,
+				Detail: fmt.Sprintf("allocs/state %.1f vs committed %.1f", f.Allocs, b.Allocs)}
+			if !ac.OK {
+				ac.Detail += fmt.Sprintf(" — more than %.0f%% over", (allocSlack-1)*100)
+			}
+			checks = append(checks, ac)
+		}
 	}
 	return checks
 }
@@ -129,6 +150,7 @@ func explorePoints(rows []ExploreRow) []TrajectoryPoint {
 			Key:    fmt.Sprintf("%s/%s/w%d", r.System, r.Mode, r.Workers),
 			States: int64(r.States),
 			NS:     r.NS,
+			Allocs: r.AllocsPerState,
 		}
 	}
 	return out

@@ -40,6 +40,32 @@ func TestCompareTrajectory(t *testing.T) {
 	}
 }
 
+// TestCompareTrajectoryAllocs: allocations per state may grow by at
+// most 10% over the committed count; a committed point that records
+// none gets no allocation check at all.
+func TestCompareTrajectoryAllocs(t *testing.T) {
+	base := []TrajectoryPoint{
+		{Key: "within", States: 10, NS: 1000, Allocs: 40},
+		{Key: "over", States: 10, NS: 1000, Allocs: 40},
+		{Key: "unrecorded", States: 10, NS: 1000},
+	}
+	fresh := []TrajectoryPoint{
+		{Key: "within", States: 10, NS: 1000, Allocs: 43.9},
+		{Key: "over", States: 10, NS: 1000, Allocs: 80},
+		{Key: "unrecorded", States: 10, NS: 1000, Allocs: 500},
+	}
+	checks := CompareTrajectory("f", base, fresh, 5, 1)
+	if c := findCheck(checks, "within", "allocs"); c == nil || !c.OK {
+		t.Fatalf("allocs within 10%% flagged: %+v", c)
+	}
+	if c := findCheck(checks, "over", "allocs"); c == nil || c.OK {
+		t.Fatalf("2x allocs regression not caught: %+v", c)
+	}
+	if c := findCheck(checks, "unrecorded", "allocs"); c != nil {
+		t.Fatalf("allocs checked against a committed row without the field: %+v", c)
+	}
+}
+
 // TestCompareTrajectoryHandicap: the CI negative arm — a handicap
 // large enough must push an otherwise-identical sweep over the wall
 // threshold, proving the gate can fail.

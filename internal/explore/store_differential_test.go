@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/explore"
 	"repro/internal/figures"
 	"repro/internal/ioa"
@@ -56,15 +57,22 @@ func sortedLevelOrder(a ioa.Automaton) []string {
 	return out
 }
 
-// diffSystems yields the battery's systems: randomized shapes plus the
-// repo's figures.
+// diffSystems yields the battery's systems: randomized shapes, the
+// repo's figures, and the closed level-3 arbiter at 3 users — a
+// renamed, hidden composite nested inside a composite, so nested
+// composite stepping is pinned elementwise, not just as a set.
 func diffSystems(t *testing.T) map[string]ioa.Automaton {
 	t.Helper()
 	base := testseed.Base(t)
+	arbiter3, err := bench.ExploreSystem(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	systems := map[string]ioa.Automaton{
 		"fig21":        figures.Fig21(),
 		"fig21-hidden": ioa.Hide(figures.Fig21(), ioa.NewSet(figures.Beta)),
 		"fig23c":       figures.Fig23C(),
+		"arbiter3":     arbiter3,
 	}
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(base + 900 + seed))

@@ -27,15 +27,31 @@ var _ State = KeyState("")
 
 // JoinKeys combines component state keys into a single unambiguous
 // composite key (each component is length-prefixed, so no separator
-// collision is possible).
+// collision is possible). The result is sized exactly up front, so
+// joining costs one allocation.
 func JoinKeys(keys ...string) string {
-	var b strings.Builder
+	n := 0
 	for _, k := range keys {
-		b.WriteString(strconv.Itoa(len(k)))
+		n += decimalLen(len(k)) + 1 + len(k)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var digits [20]byte
+	for _, k := range keys {
+		b.Write(strconv.AppendInt(digits[:0], int64(len(k)), 10))
 		b.WriteByte(':')
 		b.WriteString(k)
 	}
 	return b.String()
+}
+
+// decimalLen is the number of decimal digits of n ≥ 0.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // A Class is one equivalence class of part(A), the partition of an

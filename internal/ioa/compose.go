@@ -18,11 +18,7 @@ var _ State = (*TupleState)(nil)
 
 // NewTupleState builds a tuple state from component states.
 func NewTupleState(parts []State) *TupleState {
-	keys := make([]string, len(parts))
-	for i, p := range parts {
-		keys[i] = p.Key()
-	}
-	return &TupleState{parts: append([]State(nil), parts...), key: JoinKeys(keys...)}
+	return newTupleStateOwned(append([]State(nil), parts...))
 }
 
 // Key implements State.
@@ -35,23 +31,24 @@ func (t *TupleState) At(i int) State { return t.parts[i] }
 // Len returns the number of components.
 func (t *TupleState) Len() int { return len(t.parts) }
 
+// stackComps is how many per-component values (keys, successor
+// lists, enabled sets) a composite step gathers on the stack; wider
+// compositions fall back to one heap slice per step.
+const stackComps = 16
+
 // newTupleStateOwned builds a tuple state taking ownership of parts
-// (no defensive copy — callers must not retain the slice).
+// (no defensive copy — callers must not retain the slice). Each
+// component's Key is read once and the joined key is allocated once.
 func newTupleStateOwned(parts []State) *TupleState {
-	keys := make([]string, len(parts))
-	for i, p := range parts {
-		keys[i] = p.Key()
+	var buf [stackComps]string
+	keys := buf[:0]
+	if len(parts) > stackComps {
+		keys = make([]string, 0, len(parts))
+	}
+	for _, p := range parts {
+		keys = append(keys, p.Key())
 	}
 	return &TupleState{parts: parts, key: JoinKeys(keys...)}
-}
-
-// with returns a copy of t with component i replaced by s.
-func (t *TupleState) with(updates map[int]State) *TupleState {
-	parts := append([]State(nil), t.parts...)
-	for i, s := range updates {
-		parts[i] = s
-	}
-	return newTupleStateOwned(parts)
 }
 
 // with1 returns a copy of t with only component i replaced — the
@@ -84,6 +81,13 @@ type Composite struct {
 	// behind RW mutexes.
 	memo   []compMemo
 	memoOn bool
+	// nested[i] reports that component i is itself a composition
+	// underneath its structural wrappers (see isComposition). Such a
+	// component is never cached here: its own leaf caches already
+	// hold the reusable work, while its states are as distinct as
+	// this composite's, so a cache here would miss on nearly every
+	// call and retain every successor list it ever built.
+	nested []bool
 	// obsMemo, when non-nil, counts cache hits and misses. Writes are
 	// sharded by the memo hash, so concurrent workers touching
 	// different shards also touch different counter stripes.
@@ -165,16 +169,42 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 			owner = append(owner, i)
 		}
 	}
+	nested := make([]bool, len(comps))
+	for i, c := range comps {
+		nested[i] = isComposition(c)
+	}
 	return &Composite{
 		name: name, comps: comps, sig: sig, parts: parts, who: who, classOwner: owner,
-		memo: make([]compMemo, len(comps)), memoOn: true,
+		memo: make([]compMemo, len(comps)), memoOn: true, nested: nested,
 	}, nil
 }
 
+// isComposition reports whether a is a *Composite once every
+// structural wrapper is peeled: Hide, Rename, and out-of-package
+// wrappers implementing Wrapper. Any other out-of-package wrapper
+// (e.g. the faults crash wrapper) is opaque, so the automaton it
+// wraps counts as a leaf and keeps its memo.
+func isComposition(a Automaton) bool {
+	for {
+		if _, ok := a.(*Composite); ok {
+			return true
+		}
+		inner, _, ok := Peel(a)
+		if !ok {
+			return false
+		}
+		a = inner
+	}
+}
+
+// memoized reports whether component i's steps go through the memo.
+func (c *Composite) memoized(i int) bool { return c.memoOn && !c.nested[i] }
+
 // SetMemo turns the per-component transition/enabled caches on or off
 // (on by default). Off reproduces the uncached seed behavior, e.g.
-// for benchmarking the cache itself. Not safe to toggle while other
-// goroutines are stepping the composite.
+// for benchmarking the cache itself. Components that are themselves
+// compositions are never cached, whatever the setting. Not safe to
+// toggle while other goroutines are stepping the composite.
 func (c *Composite) SetMemo(on bool) { c.memoOn = on }
 
 // SetObs attaches (or, with nil, detaches) memo-cache metrics.
@@ -235,7 +265,7 @@ func SetMemoDeep(a Automaton, on bool) {
 
 // compNext is comp[i].Next(s, a) through the memo layer.
 func (c *Composite) compNext(i int, s State, a Action) []State {
-	if !c.memoOn {
+	if !c.memoized(i) {
 		return c.comps[i].Next(s, a)
 	}
 	key := s.Key()
@@ -274,7 +304,7 @@ func (c *Composite) compNext(i int, s State, a Action) []State {
 // component's result is cached verbatim (same actions, same order),
 // so callers observe exactly the uncached behavior.
 func (c *Composite) compEnabled(i int, s State) []Action {
-	if !c.memoOn {
+	if !c.memoized(i) {
 		return c.comps[i].Enabled(s)
 	}
 	key := s.Key()
@@ -346,76 +376,44 @@ func (c *Composite) Start() []State {
 }
 
 // Next implements Automaton: all components sharing the action step
-// simultaneously; others are unchanged.
+// simultaneously; others are unchanged. It collects VisitNext, the
+// one stepping path.
 func (c *Composite) Next(s State, a Action) []State {
-	ts, ok := s.(*TupleState)
-	if !ok || ts.Len() != len(c.comps) {
-		return nil
-	}
-	owners := c.who[a]
-	if len(owners) == 0 {
-		return nil
-	}
-	// Single-owner fast path: no cross product, no update maps. This
-	// is the common case (every non-shared action) and the hot path
-	// of exhaustive exploration.
-	if len(owners) == 1 {
-		i := owners[0]
-		next := c.compNext(i, ts.At(i), a)
-		if len(next) == 0 {
-			return nil
-		}
-		out := make([]State, len(next))
-		for k, nxt := range next {
-			out[k] = ts.with1(i, nxt)
-		}
-		return out
-	}
-	// Per-owner successor lists; if any owner cannot step, the
-	// composite cannot step.
-	choices := make([][]State, len(owners))
-	for k, i := range owners {
-		next := c.compNext(i, ts.At(i), a)
-		if len(next) == 0 {
-			return nil
-		}
-		choices[k] = next
-	}
-	// Cross product of owner choices.
-	results := []map[int]State{{}}
-	for k, i := range owners {
-		var expanded []map[int]State
-		for _, partial := range results {
-			for _, nxt := range choices[k] {
-				m := make(map[int]State, len(partial)+1)
-				for idx, st := range partial {
-					m[idx] = st
-				}
-				m[i] = nxt
-				expanded = append(expanded, m)
-			}
-		}
-		results = expanded
-	}
-	out := make([]State, 0, len(results))
-	for _, updates := range results {
-		out = append(out, ts.with(updates))
-	}
+	var out []State
+	c.VisitNext(s, a, func(nxt State) bool {
+		out = append(out, nxt)
+		return true
+	})
 	return out
 }
 
 // Enabled implements Automaton. By Corollary 3 of the paper, a
 // locally-controlled action of component i is enabled in the
 // composition iff it is enabled in component i (all other components
-// see it as an input, which is always enabled).
+// see it as an input, which is always enabled). The result is a fresh
+// slice sized once; cached component slices are only read.
 func (c *Composite) Enabled(s State) []Action {
 	ts, ok := s.(*TupleState)
 	if !ok {
 		return nil
 	}
-	var out []Action
+	var buf [stackComps][]Action
+	lists := buf[:0]
+	if len(c.comps) > stackComps {
+		lists = make([][]Action, 0, len(c.comps))
+	}
+	n := 0
 	for i := range c.comps {
-		out = append(out, c.compEnabled(i, ts.At(i))...)
+		l := c.compEnabled(i, ts.At(i))
+		lists = append(lists, l)
+		n += len(l)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Action, 0, n)
+	for _, l := range lists {
+		out = append(out, l...)
 	}
 	return out
 }

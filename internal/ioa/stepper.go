@@ -75,36 +75,64 @@ func (p *Prog) VisitNext(s State, a Action, yield func(State) bool) bool {
 
 var _ Stepper = (*Prog)(nil)
 
-// VisitNext implements Stepper for compositions. The single-owner
-// fast path — every non-shared action, and the hot path of exhaustive
-// exploration — yields each successor tuple directly off the memoized
-// per-component successor list, so no intermediate []State is built
-// per (state, action) step. Multi-owner (synchronizing) actions fall
-// back to the cross-product Next.
+// VisitNext implements Stepper for compositions; Next collects it.
+// Each owner of the action contributes its successor list (for a
+// memoized component, the cached slice itself), and the cross product
+// is walked as an odometer: the first owner is the most significant
+// digit and the last owner turns fastest. Each successor tuple is
+// built and yielded directly, with no per-step map or successor
+// slice. A single owner that is itself a composition is streamed
+// through its own VisitNext instead, so its successors are never
+// collected either.
 func (c *Composite) VisitNext(s State, a Action, yield func(State) bool) bool {
 	ts, ok := s.(*TupleState)
 	if !ok || ts.Len() != len(c.comps) {
 		return true
 	}
 	owners := c.who[a]
-	if len(owners) == 0 {
+	switch {
+	case len(owners) == 0:
 		return true
-	}
-	if len(owners) == 1 {
+	case len(owners) == 1 && !c.memoized(owners[0]):
 		i := owners[0]
-		for _, nxt := range c.compNext(i, ts.At(i), a) {
-			if !yield(ts.with1(i, nxt)) {
-				return false
-			}
-		}
-		return true
+		return VisitNext(c.comps[i], ts.At(i), a, func(nxt State) bool {
+			return yield(ts.with1(i, nxt))
+		})
 	}
-	for _, nxt := range c.Next(s, a) {
-		if !yield(nxt) {
+	// If any owner cannot step, the composite cannot step.
+	var choiceBuf [stackComps][]State
+	var digitBuf [stackComps]int
+	choices, digits := choiceBuf[:0], digitBuf[:0]
+	if len(owners) > stackComps {
+		choices, digits = make([][]State, 0, len(owners)), make([]int, 0, len(owners))
+	}
+	for _, i := range owners {
+		next := c.compNext(i, ts.At(i), a)
+		if len(next) == 0 {
+			return true
+		}
+		choices = append(choices, next)
+		digits = append(digits, 0)
+	}
+	for {
+		parts := append([]State(nil), ts.parts...)
+		for k, i := range owners {
+			parts[i] = choices[k][digits[k]]
+		}
+		if !yield(newTupleStateOwned(parts)) {
 			return false
 		}
+		k := len(digits) - 1
+		for ; k >= 0; k-- {
+			if digits[k]++; digits[k] < len(choices[k]) {
+				break
+			}
+			digits[k] = 0
+		}
+		if k < 0 {
+			return true
+		}
 	}
-	return true
 }
 
 var _ Stepper = (*Composite)(nil)
