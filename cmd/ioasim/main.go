@@ -10,7 +10,7 @@
 //	       [-grid-base m] [-grid-digits k]
 //	       [-faults drop=0.1,dup=0.05,delay=3] [-fault-seed n]
 //	       [-trace] [-json] [-dot] [-reach] [-stabilize] [-induct]
-//	       [-workers n] [-limit n] [-dedup]
+//	       [-workers n] [-limit n] [-symmetry]
 //	       [-spill-dir dir] [-spill-mem-mb n]
 //	       [-dist-listen host:port -dist-workers n [-dist-spawn]]
 //	       [-dist-join host:port [-dist-corrupt]]
@@ -72,7 +72,7 @@
 // crash-restart corruption envelope — expected to FAIL, exiting
 // non-zero, since a lost token never regenerates). The exit status is
 // the verdict, so CI can assert both directions. The
-// exploration knobs (-workers, -limit, -dedup) are the shared set
+// exploration knobs (-workers, -limit, -symmetry) are the shared set
 // registered by explore.BindFlags — identical flags and defaults in
 // arbiterbench — and resolve into the explore.Options behind one
 // explore.Engine: -workers selects the sharded parallel explorer (0 =
@@ -168,7 +168,6 @@ type config struct {
 	stabilize bool
 	induct    bool
 	symmetry  bool
-	por       bool
 	explore   explore.Options
 
 	gridM, gridK int
@@ -224,7 +223,6 @@ func main() {
 	flag.Parse()
 	cfg.explore = ex.Options(nil, nil)
 	cfg.symmetry = ex.Symmetry()
-	cfg.por = ex.POR()
 	cfg.distListen = ex.DistListen()
 	cfg.distWorkers = ex.DistWorkers()
 	cfg.distJoin = ex.DistJoin()
@@ -310,7 +308,6 @@ func run(cfg config, out io.Writer) error {
 		Workers:  cfg.explore.Workers,
 		Limit:    cfg.explore.Limit,
 		Symmetry: cfg.symmetry,
-		POR:      cfg.por,
 		Flags:    cfg.flags,
 	}
 	started := testseed.Now()
@@ -330,7 +327,7 @@ func run(cfg config, out io.Writer) error {
 			if o != nil {
 				ioa.SetObsDeep(auto, o)
 			}
-			auto, err = applyReduction(&cfg, auto)
+			err = applyReduction(&cfg)
 		}
 		if err == nil {
 			err = dispatch(cfg, auto, o, rec, out)
@@ -403,64 +400,22 @@ func systemCanonicalizer(system string, nUsers int) (store.Canonicalizer, error)
 	}
 }
 
-// systemPOROptions resolves -por for a system: the arbiter systems get
-// the semantic per-leaf rules and the mutual-exclusion visibility
-// predicate; everything else falls back to the conservative structural
-// analysis (sound for any closed system, rarely reducing).
-func systemPOROptions(system string, nUsers int) (reduce.Options, error) {
-	var tr *graph.Tree
-	var err error
-	switch system {
-	case "arbiter2", "arbiter3", "arbiter3r":
-		tr, err = graph.BinaryTree(nUsers)
-	case "star":
-		tr, err = graph.Star(nUsers)
-	default:
-		return reduce.Options{}, nil
-	}
-	if err != nil {
-		return reduce.Options{}, err
-	}
-	return reduce.Options{Rules: reduce.ArbiterRules(tr), Visible: reduce.HolderVisibility}, nil
-}
-
-// applyReduction resolves -symmetry and -por into the exploration
-// options. Both apply to -reach only: simulation follows one concrete
-// schedule, so there is nothing to quotient or prune. A system with
-// residual environment inputs (mutex's unpaired register invocations)
-// is wrapped in explore.ClosedWorld first — POR is only defined for
-// closed systems, and the wrapper's name suffix makes the changed
-// baseline visible in the -reach report. The returned automaton is
-// the one to explore.
-func applyReduction(cfg *config, auto ioa.Automaton) (ioa.Automaton, error) {
-	if !cfg.symmetry && !cfg.por {
-		return auto, nil
+// applyReduction resolves -symmetry into the exploration options. It
+// applies to -reach only: simulation follows one concrete schedule, so
+// there is nothing to quotient.
+func applyReduction(cfg *config) error {
+	if !cfg.symmetry {
+		return nil
 	}
 	if !cfg.reach {
-		return nil, errors.New("-symmetry/-por apply to -reach (use -stabilize -symmetry for the certifier)")
+		return errors.New("-symmetry applies to -reach (use -stabilize -symmetry for the certifier)")
 	}
-	if cfg.symmetry {
-		c, err := systemCanonicalizer(cfg.system, cfg.nUsers)
-		if err != nil {
-			return nil, err
-		}
-		cfg.explore.Canon = c
+	c, err := systemCanonicalizer(cfg.system, cfg.nUsers)
+	if err != nil {
+		return err
 	}
-	if cfg.por {
-		if auto.Sig().Inputs().Len() > 0 {
-			auto = explore.ClosedWorld(auto)
-		}
-		opts, err := systemPOROptions(cfg.system, cfg.nUsers)
-		if err != nil {
-			return nil, err
-		}
-		p, err := reduce.NewPOR(auto, opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.explore.Ample = p
-	}
-	return auto, nil
+	cfg.explore.Canon = c
+	return nil
 }
 
 // certifyRun certifies self-stabilization of the selected system and
@@ -473,9 +428,6 @@ func applyReduction(cfg *config, auto ioa.Automaton) (ioa.Automaton, error) {
 func certifyRun(cfg config, prof faults.Profile, o *obs.Obs, rec *ledger.Run, out io.Writer) error {
 	if !prof.Zero() {
 		return errors.New("-stabilize certifies state corruption envelopes; channel -faults do not apply")
-	}
-	if cfg.por {
-		return errors.New("-por does not apply to -stabilize: convergence bounds need the full transition graph")
 	}
 	opts := stabilize.Options{Workers: cfg.explore.Workers, Limit: cfg.explore.Limit, Obs: o}
 	if cfg.symmetry {
@@ -549,8 +501,8 @@ func inductRun(cfg config, prof faults.Profile, o *obs.Obs, rec *ledger.Run, out
 	if !prof.Zero() {
 		return errors.New("-induct certifies the fault-free systems; channel -faults do not apply")
 	}
-	if cfg.symmetry || cfg.por {
-		return errors.New("-symmetry/-por apply to -reach: induction walks the candidate domain, not the transition graph")
+	if cfg.symmetry {
+		return errors.New("-symmetry applies to -reach: induction walks the candidate domain, not the transition graph")
 	}
 	var (
 		sys bench.InductSystem
@@ -752,9 +704,6 @@ func joinAddr(a net.Addr) string {
 func coordRun(cfg config, o *obs.Obs, rec *ledger.Run, out io.Writer) error {
 	if !cfg.reach {
 		return errors.New("-dist-listen requires -reach")
-	}
-	if cfg.por {
-		return errors.New("-por does not apply to -dist-listen: ample sets need a global transition view")
 	}
 	// Bind before spawning so workers can join an ephemeral port
 	// (-dist-listen :0): the join address comes from the bound

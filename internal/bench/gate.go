@@ -176,13 +176,13 @@ func readBench[T any](dir, name string) ([]T, error) {
 // GateObsConfig is the canonical configuration BENCH_obs.json is
 // produced with; the gate re-runs it so fresh rows align with the
 // committed rows. Regenerate the file with the arbiterbench
-// -obs-bench defaults, which match.
+// -sweep obs defaults, which match.
 func GateObsConfig(reps int, now func() time.Time) ObsConfig {
 	return ObsConfig{Users: 6, Workers: 2, Reps: reps, Now: now}
 }
 
 // GateExploreConfig is the canonical configuration BENCH_explore.json
-// is produced with (the arbiterbench -explore defaults).
+// is produced with (the arbiterbench -sweep explore defaults).
 func GateExploreConfig(reps int, now func() time.Time) ExploreConfig {
 	return ExploreConfig{Users: 6, Reps: reps, Now: now}
 }

@@ -9,7 +9,7 @@ package bench
 // combinatorial domains (16.7M counter vectors, 9.1M Lamport states)
 // in O(1) resident memory, because a failed step needs no history and
 // a successful one needs no frontier. Rows are written to
-// BENCH_induct.json by arbiterbench -induct-bench.
+// BENCH_induct.json by arbiterbench -sweep induct.
 
 import (
 	"context"

@@ -169,7 +169,7 @@ func TestInductSweepQuick(t *testing.T) {
 // BenchmarkInductSweep is the recorded experiment (E21): quick rows
 // under -short semantics are enough for CI sanity at -benchtime=1x;
 // the committed BENCH_induct.json is produced by arbiterbench
-// -induct-bench with the full row set.
+// -sweep induct with the full row set.
 func BenchmarkInductSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := InductSweep(InductConfig{Reps: 1, Quick: true})

@@ -6,7 +6,7 @@ package bench
 // tracing). The disabled rows are the ones held to the ≤2% regression
 // budget against the pre-instrumentation engine; the enabled rows
 // price the instrumentation itself. Rows are written to BENCH_obs.json
-// by arbiterbench -obs-bench.
+// by arbiterbench -sweep obs.
 
 import (
 	"context"

@@ -1,26 +1,25 @@
 package bench
 
 // Reduction sweep (E20): state-count and wall-time ratios of symmetry
-// quotienting and ample-set partial-order reduction against the
-// unreduced exploration, on the closed arbiter systems. Every row
-// re-checks the mutual-exclusion invariant, and the sweep fails if any
-// reduced mode disagrees with the unreduced verdict — the bench doubles
-// as a coarse differential check (the fine-grained one is the battery
-// in internal/reduce).
+// quotienting against the unreduced exploration, on the closed arbiter
+// systems with a sound symmetry. Every row re-checks the
+// mutual-exclusion invariant, and the sweep fails if the quotiented
+// verdict disagrees with the unreduced one — the bench doubles as a
+// coarse differential check (the fine-grained one is the battery in
+// internal/reduce).
 //
 // Topologies measured:
 //
 //   - arbiter1: the specification arbiter, quotiented by the full
 //     symmetric group Sₙ on its users (reduce.ArbiterUsers).
-//   - arbiter3: the distributed algorithm on graph.BinaryTree. Its
-//     round-robin sendgrant scan pins every node's neighbor circle, so
-//     the tree has no nontrivial sound symmetry — only the POR modes
-//     run, and the honest reduction is modest (the holder's visible
-//     grant is enabled in most states, forcing full expansion there).
-//   - arbiter3-star: the same algorithm on graph.Star, whose single
-//     neighbor circle makes the rotation group Zₙ a free automorphism
-//     group — reduce.StarRotation quotients the state space by exactly
-//     n (the headline ≥10x row at n ≥ 10).
+//   - arbiter3-star: the distributed algorithm on graph.Star, whose
+//     single neighbor circle makes the rotation group Zₙ a free
+//     automorphism group — reduce.StarRotation quotients the state
+//     space by exactly n (the headline ≥10x row at n ≥ 10).
+//
+// The binary-tree arbiter3 is not measured: its round-robin sendgrant
+// scan pins every node's neighbor circle, so it has no nontrivial
+// sound symmetry and nothing here reduces it.
 
 import (
 	"context"
@@ -31,7 +30,6 @@ import (
 
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
-	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/reduce"
 	"repro/internal/store"
@@ -40,11 +38,11 @@ import (
 
 // ReductionRow is one measurement of the reduction sweep.
 type ReductionRow struct {
-	// System is arbiter1, arbiter3, or arbiter3-star.
+	// System is arbiter1 or arbiter3-star.
 	System string `json:"system"`
 	// Users is the number of user automata.
 	Users int `json:"users"`
-	// Mode is full, symmetry, por, or both.
+	// Mode is full or symmetry.
 	Mode string `json:"mode"`
 	// States is the number of states explored under this mode.
 	States int `json:"states"`
@@ -58,14 +56,14 @@ type ReductionRow struct {
 	// holding in every explored state); identical across modes by
 	// construction, enforced by the sweep.
 	MutexOK bool `json:"mutex_ok"`
+	// Host is the machine and source revision the row was measured on.
+	Host *Host `json:"host,omitempty"`
 }
 
 // ReductionConfig parameterizes the sweep.
 type ReductionConfig struct {
 	// SpecUsers are the arbiter1 sizes (default 6).
 	SpecUsers []int
-	// TreeUsers are the binary-tree arbiter3 sizes (default 5, 6).
-	TreeUsers []int
 	// StarUsers are the star arbiter3 sizes (default 8, 12).
 	StarUsers []int
 	// Limit bounds each exploration (0 means explore.DefaultLimit).
@@ -79,23 +77,18 @@ type ReductionConfig struct {
 	Now func() time.Time
 }
 
-// reductionCase is one (system, n) instance with its reducers.
+// reductionCase is one (system, n) instance with its symmetry.
 type reductionCase struct {
 	system string
 	users  int
 	build  func() (ioa.Automaton, error)
-	canon  store.Canonicalizer // nil: no sound symmetry, skip those modes
-	por    func(ioa.Automaton) (*reduce.POR, error)
+	canon  store.Canonicalizer
 }
 
 func reductionCases(cfg ReductionConfig) ([]reductionCase, error) {
 	spec := cfg.SpecUsers
 	if spec == nil {
 		spec = []int{6}
-	}
-	tree := cfg.TreeUsers
-	if tree == nil {
-		tree = []int{5, 6}
 	}
 	star := cfg.StarUsers
 	if star == nil {
@@ -113,35 +106,10 @@ func reductionCases(cfg ReductionConfig) ([]reductionCase, error) {
 			users:  n,
 			build:  func() (ioa.Automaton, error) { return ExploreSystem(1, n) },
 			canon:  canon,
-			por: func(a ioa.Automaton) (*reduce.POR, error) {
-				return reduce.NewPOR(a, reduce.Options{Visible: reduce.HolderVisibility})
-			},
-		})
-	}
-	for _, n := range tree {
-		n := n
-		tr, err := graph.BinaryTree(n)
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, reductionCase{
-			system: "arbiter3",
-			users:  n,
-			build:  func() (ioa.Automaton, error) { return ExploreSystem(3, n) },
-			por: func(a ioa.Automaton) (*reduce.POR, error) {
-				return reduce.NewPOR(a, reduce.Options{
-					Rules:   reduce.ArbiterRules(tr),
-					Visible: reduce.HolderVisibility,
-				})
-			},
 		})
 	}
 	for _, n := range star {
 		n := n
-		tr, err := graph.Star(n)
-		if err != nil {
-			return nil, err
-		}
 		canon, err := reduce.NewStarRotation(n)
 		if err != nil {
 			return nil, err
@@ -151,12 +119,6 @@ func reductionCases(cfg ReductionConfig) ([]reductionCase, error) {
 			users:  n,
 			build:  func() (ioa.Automaton, error) { return StarSystem(n) },
 			canon:  canon,
-			por: func(a ioa.Automaton) (*reduce.POR, error) {
-				return reduce.NewPOR(a, reduce.Options{
-					Rules:   reduce.ArbiterRules(tr),
-					Visible: reduce.HolderVisibility,
-				})
-			},
 		})
 	}
 	return cases, nil
@@ -180,7 +142,7 @@ func MutexInvariant(s ioa.State) bool {
 	return holding <= 1
 }
 
-// ReductionSweep measures every case under each applicable mode and
+// ReductionSweep measures every case unreduced and quotiented and
 // cross-checks the invariant verdicts.
 func ReductionSweep(cfg ReductionConfig) ([]ReductionRow, error) {
 	cases, err := reductionCases(cfg)
@@ -189,12 +151,8 @@ func ReductionSweep(cfg ReductionConfig) ([]ReductionRow, error) {
 	}
 	var rows []ReductionRow
 	for _, c := range cases {
-		modes := []string{"full", "por"}
-		if c.canon != nil {
-			modes = []string{"full", "symmetry", "por", "both"}
-		}
 		var full ReductionRow
-		for _, mode := range modes {
+		for _, mode := range []string{"full", "symmetry"} {
 			row, err := reductionMeasure(c, cfg, mode)
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d %s: %w", c.system, c.users, mode, err)
@@ -217,7 +175,7 @@ func ReductionSweep(cfg ReductionConfig) ([]ReductionRow, error) {
 }
 
 func reductionMeasure(c reductionCase, cfg ReductionConfig, mode string) (ReductionRow, error) {
-	row := ReductionRow{System: c.system, Users: c.users, Mode: mode}
+	row := ReductionRow{System: c.system, Users: c.users, Mode: mode, Host: currentHost()}
 	limit := cfg.Limit
 	if limit <= 0 {
 		limit = explore.DefaultLimit
@@ -236,15 +194,8 @@ func reductionMeasure(c reductionCase, cfg ReductionConfig, mode string) (Reduct
 			return row, err
 		}
 		opts := explore.Options{Workers: cfg.Workers, Limit: limit}
-		if mode == "symmetry" || mode == "both" {
+		if mode == "symmetry" {
 			opts.Canon = c.canon
-		}
-		if mode == "por" || mode == "both" {
-			p, err := c.por(a)
-			if err != nil {
-				return row, err
-			}
-			opts.Ample = p
 		}
 		eng := explore.New(opts)
 		start := now()
@@ -271,7 +222,7 @@ func reductionMeasure(c reductionCase, cfg ReductionConfig, mode string) (Reduct
 
 // PrintReduction writes the sweep as an aligned table.
 func PrintReduction(w io.Writer, rows []ReductionRow) {
-	fmt.Fprintln(w, "Reduction sweep — symmetry quotient and ample-set POR vs unreduced (E20)")
+	fmt.Fprintln(w, "Reduction sweep — symmetry quotient vs unreduced (E20)")
 	fmt.Fprintf(w, "%-14s %6s %-9s %9s %8s %9s %8s %s\n",
 		"system", "users", "mode", "states", "ratio", "ms", "speedup", "mutex")
 	for _, r := range rows {

@@ -6,7 +6,7 @@ package bench
 // Each row records the certifier's verdicts (closure, convergence,
 // boundedness), the measured worst-case rounds-to-legitimacy bound,
 // and best-of-reps wall-clock time. Rows are written to
-// BENCH_stabilize.json by arbiterbench -stabilize-bench.
+// BENCH_stabilize.json by arbiterbench -sweep stabilize.
 
 import (
 	"context"

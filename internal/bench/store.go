@@ -8,7 +8,7 @@ package bench
 // the speedup against the reference baseline on the same system, and —
 // for interned rows — the store's arena footprint, from which
 // EXPERIMENTS.md derives the bytes/state accounting. Rows are written
-// to BENCH_store.json by arbiterbench -store-bench.
+// to BENCH_store.json by arbiterbench -sweep store.
 
 import (
 	"context"

@@ -1,12 +1,9 @@
 package bench
 
 // The sweep registry: every named benchmark sweep the CLIs can run
-// with `arbiterbench -sweep <name> -sweep-out <file>`. Before PR 10
-// each sweep carried its own flag triple (-obs-bench /
-// -obs-bench-out, -store-bench / ..., five more), and adding a sweep
-// meant touching the CLI; the registry collapses that surface to two
-// flags and one table. The old triples survive in arbiterbench as
-// deprecated aliases for one release.
+// with `arbiterbench -sweep <name> -sweep-out <file>`. Two flags and
+// one table cover every sweep, so adding a sweep touches only this
+// file and never the CLI.
 
 import (
 	"encoding/json"
@@ -134,12 +131,11 @@ var sweeps = []Sweep{
 	},
 	{
 		Name: "reduction", Artifact: "BENCH_reduction.json",
-		Description: "symmetry quotient and ample-set POR vs unreduced exploration (E20)",
+		Description: "symmetry quotient vs unreduced exploration (E20)",
 		Run: func(cfg SweepConfig) (any, int, error) {
 			rcfg := ReductionConfig{Workers: cfg.Workers, Limit: cfg.Limit, Now: cfg.Now}
 			if cfg.Quick {
 				rcfg.SpecUsers = []int{3}
-				rcfg.TreeUsers = []int{3}
 				rcfg.StarUsers = []int{4}
 			}
 			rows, err := ReductionSweep(rcfg)

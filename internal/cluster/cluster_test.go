@@ -30,11 +30,18 @@ import (
 )
 
 // run starts a coordinator and procs workers on an ephemeral port and
-// returns the coordinator's result plus every worker's error.
+// returns the coordinator's result plus every worker's error. The port
+// is bound once and handed to Coordinate as its listener, so no other
+// process can take it between reservation and use.
 func run(t *testing.T, procs int, mut func(rank int, cfg *Config), cfg Config) (Result, []error) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
 	cfg.Procs = procs
-	cfg.Addr = freePort(t)
+	cfg.Listener = ln
+	cfg.Addr = ln.Addr().String()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -60,7 +67,7 @@ func run(t *testing.T, procs int, mut func(rank int, cfg *Config), cfg Config) (
 			if mut != nil {
 				mut(rank, &wcfg)
 			}
-			errs[rank] = dialUntilUp(ctx, wcfg)
+			errs[rank] = Work(ctx, wcfg)
 		}(rank)
 	}
 	wwg.Wait()
@@ -69,26 +76,6 @@ func run(t *testing.T, procs int, mut func(rank int, cfg *Config), cfg Config) (
 		return res, append(errs, coorErr)
 	}
 	return res, errs
-}
-
-// freePort reserves an ephemeral localhost port and returns it; the
-// coordinator re-listens on it and the workers retry until it is up.
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("reserve port: %v", err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// dialUntilUp runs Work; its internal refused-dial retry covers the
-// window where the reserved port is closed between freePort and
-// Coordinate's re-listen.
-func dialUntilUp(ctx context.Context, cfg Config) error {
-	return Work(ctx, cfg)
 }
 
 func buildGrid(m, k int) func() (ioa.Automaton, error) {

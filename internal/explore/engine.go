@@ -1,13 +1,10 @@
 package explore
 
-// The Engine facade. PR 5 consolidates the package's positional entry
-// points (Reach, CheckInvariant, Deadlocks, Behaviors, Schedules,
-// Execs, SameBehaviors, FindLasso, plus the diagnostic EnabledReport
-// and WriteDOT) behind one type constructed from Options, with
-// context.Context cancellation on every method. The old top-level
-// functions survive as thin deprecated shims (shims.go) so downstream
-// callers keep compiling; internal packages are held to the new API by
-// a CI grep.
+// The Engine facade: the package's analyses (Reach, CheckInvariant,
+// Deadlocks, Behaviors, Schedules, Execs, SameBehaviors, FindLasso,
+// plus the diagnostic EnabledReport and WriteDOT) are methods of one
+// type constructed from Options, with context.Context cancellation on
+// every method.
 //
 // Internally every explorer dedups through internal/store: states are
 // byte-encoded once (ioa.AppendState — the Encoder fast path with a
@@ -15,10 +12,10 @@ package explore
 // dense uint64 IDs instead of string-keyed maps; successor enumeration
 // goes through ioa.VisitNext so implementations with a Stepper fast
 // path allocate no intermediate []State per (state, action) step. The
-// visit order is bit-identical to the string-keyed seed explorer
-// (reference.go keeps it as the differential oracle): interning
-// preserves first-insertion order, and encoding equality coincides
-// with Key() equality by the Encoder contract.
+// sequential visit order is bit-identical to the string-keyed seed
+// explorer (reference.go keeps it as the differential oracle):
+// interning preserves first-insertion order, and encoding equality
+// coincides with Key() equality by the Encoder contract.
 
 import (
 	"context"
@@ -45,15 +42,9 @@ type Options struct {
 	// the partial result holds exactly Limit states and ErrLimit is
 	// returned iff an unseen state remains.
 	Limit int
-	// Dedup enables sender-side duplicate suppression in the parallel
-	// engine: each worker additionally filters the successors it
-	// forwards through a local per-level table, reducing outbox traffic
-	// on diamond-heavy state graphs. Results are identical with it on
-	// or off.
-	Dedup bool
 	// Obs, when non-nil, enables observability: per-level spans and
 	// frontier/latency histograms, per-worker expansion spans,
-	// successor/dedup counters, and the state-store occupancy and
+	// successor counters, and the state-store occupancy and
 	// arena-bytes gauges. Nil (the default) is the disabled fast path —
 	// the engine performs no clock reads and no metric writes.
 	// Observability never affects the explored state set.
@@ -88,29 +79,6 @@ type Options struct {
 	// self-describing (KeyState systems, internal/grid) provide it
 	// trivially. Reach and CheckInvariant never call it.
 	Decode func(enc []byte) (ioa.State, error)
-	// Ample, when non-nil, enables partial-order reduction: each
-	// explorer goroutine mints one selector and filters every state's
-	// sorted enabled-action list through it before stepping. The
-	// selector sees a freshness oracle over the engine's store so it
-	// can enforce the BFS cycle proviso (reduce.NewPOR documents the
-	// ample conditions). Verdict-preserving for orbit/stutter-safe
-	// invariants and for deadlocks; the explored subset may differ
-	// between the sequential and parallel engines (live vs frozen
-	// store freshness), but each mode remains deterministic.
-	Ample Ampler
-}
-
-// An Ampler mints per-goroutine ample-set selectors for partial-order
-// reduction (implemented by reduce.POR). A selector receives the
-// current state, its sorted enabled actions, and a freshness oracle
-// reporting whether a state is already interned in the engine's
-// store; it returns the sub-slice of actions to expand — either the
-// input slice itself (full expansion) or an internal buffer that is
-// only valid until the selector's next call. Selectors must be
-// deterministic functions of (state, store contents); they are never
-// shared across goroutines.
-type Ampler interface {
-	NewSelector() func(s ioa.State, enabled []ioa.Action, seen func(ioa.State) bool) []ioa.Action
 }
 
 // workers resolves the worker count.
@@ -230,7 +198,8 @@ func ctxOr(ctx context.Context) context.Context {
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
 	ctx = ctxOr(ctx)
 	if e.opts.workers() <= 1 {
-		return e.reachSeq(ctx, a)
+		order, _, err := e.seqExplore(ctx, a, nil)
+		return order, err
 	}
 	order, _, _, err := e.parallelExplore(ctx, a, nil)
 	return order, err
@@ -250,7 +219,8 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
 	}
 	if e.opts.workers() <= 1 {
-		return e.checkSeq(ctx, a, pred)
+		_, v, err := e.seqExplore(ctx, a, pred)
+		return v, err
 	}
 	_, v, _, err := e.parallelExplore(ctx, a, pred)
 	return v, err
@@ -304,200 +274,104 @@ func (c *actionScratch) step(a ioa.Automaton, s ioa.State) []ioa.Action {
 	return c.buf
 }
 
-// reachSeq is the sequential store-backed reachability sweep. The
-// frontier is the unexpanded suffix of the result slice itself (every
-// admitted state is expanded exactly once, in admission order), so
-// visit order is bit-identical to the seed explorer's explicit queue.
-func (e *Engine) reachSeq(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
+// seqExplore is the sequential engine under the one-worker Reach and
+// CheckInvariant paths, shaped like parallelExplore. The frontier is
+// the unexpanded suffix of the admitted-states slice itself (every
+// state is expanded exactly once, in admission order), so visit order
+// is bit-identical to the seed explorer's explicit queue.
+//
+// With pred nil (Reach) the budget is probed, not enforced: once
+// Limit states are admitted, the first unseen successor aborts with
+// ErrLimit and the partial result, while an exact fit (budget full, no
+// unseen successor anywhere) completes with a nil error. With pred set
+// (CheckInvariant) each state is checked as it is dequeued, the first
+// failure is returned with a witness rebuilt from the per-state
+// crumbs, and a full store is an ErrLimit even when the frontier is
+// about to empty, because witnesses for states past the budget could
+// not be built.
+func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) ([]ioa.State, *Violation, error) {
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
-		defer o.Tracer.Span(0, "explore", "reach-seq "+a.Name())()
+		span := "reach-seq "
+		if pred != nil {
+			span = "check-seq "
+		}
+		defer o.Tracer.Span(0, "explore", span+a.Name())()
 	}
 	scratch := newActionScratch(a)
 	st, err := e.newSeen()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer st.Close()
-	var sel func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-	var seen func(ioa.State) bool
-	cursor := 0
-	if e.opts.Ample != nil {
-		sel = e.opts.Ample.NewSelector()
-		// The cycle-proviso oracle: a successor counts as seen when it
-		// has already been expanded or is the state being expanded now
-		// (IDs are dense admission order and states expand in ID
-		// order). Merely-discovered frontier states stay "fresh" — a
-		// reduced expansion may point at them freely, because on any
-		// cycle of the reduced graph the state expanded last finds its
-		// cycle successor already expanded and C3 forces it to expand
-		// fully, so nothing is postponed forever.
-		seen = func(t ioa.State) bool {
-			id, ok := st.Has(t)
-			return ok && int(id) <= cursor
-		}
-	}
-	var order []ioa.State
-	push := func(s ioa.State) {
+	var states []ioa.State // indexed by admission order
+	var crumbs []crumb     // indexed like states; only kept for witnesses
+	cur := crumb{parent: store.None}
+	admit := func(s ioa.State) {
 		if _, fresh := st.Intern(s); fresh {
-			order = append(order, s)
+			states = append(states, s)
+			if pred != nil {
+				crumbs = append(crumbs, cur)
+			}
 		}
 	}
 	for _, s := range a.Start() {
-		push(s)
+		admit(s)
 	}
-	// One yield closure for the whole sweep. Once the budget is full it
-	// switches to probe mode: the first unseen successor aborts the
-	// enumeration (yield false) and Reach returns immediately with the
-	// partial order — the seed version kept materializing and scanning
-	// successor slices here. An exact-fit exploration (budget full, no
-	// unseen successor anywhere) still completes with a nil error.
+	// One yield closure for the whole sweep. In Reach's probe mode the
+	// first unseen successor past a full budget aborts the enumeration.
 	yield := func(nxt ioa.State) bool {
-		if len(order) >= limit {
+		if pred == nil && len(states) >= limit {
 			_, seen := st.Has(nxt)
 			return seen
 		}
-		push(nxt)
+		admit(nxt)
 		return true
 	}
-	for i := 0; i < len(order); i++ {
+	for i := 0; i < len(states); i++ {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
-				return order, err
+				return states, nil, err
 			}
 			if err := st.Err(); err != nil {
-				return order, seenErr(a, err)
+				return states, nil, seenErr(a, err)
 			}
 			if i&(seqProgressStride-1) == 0 && i > 0 {
-				emitSeqProgress(o, len(order), i, st, false)
+				emitSeqProgress(o, len(states), i, st, false)
 			}
 		}
-		s := order[i]
-		acts := scratch.step(a, s)
-		if sel != nil {
-			cursor = i
-			acts = sel(s, acts, seen)
+		s := states[i]
+		if pred != nil {
+			if !pred(s) {
+				return states, &Violation{State: s, Trace: witnessFromCrumbs(a, states, crumbs, store.ID(i))}, nil
+			}
+			if len(states) >= limit {
+				storeGauges(o, st)
+				return states, nil, errLimit(a, limit)
+			}
 		}
-		for _, act := range acts {
+		cur.parent = store.ID(i)
+		for _, act := range scratch.step(a, s) {
+			cur.act = act
 			if !ioa.VisitNext(a, s, act, yield) {
 				if err := st.Err(); err != nil {
-					return order, seenErr(a, err)
+					return states, nil, seenErr(a, err)
 				}
 				storeGauges(o, st)
-				emitSeqProgress(o, len(order), len(order), st, true)
-				return order, errLimit(a, limit)
+				emitSeqProgress(o, len(states), len(states), st, true)
+				return states, nil, errLimit(a, limit)
 			}
 		}
 	}
 	if err := st.Err(); err != nil {
-		return order, seenErr(a, err)
+		return states, nil, seenErr(a, err)
 	}
 	storeGauges(o, st)
 	if o != nil {
-		o.Explore.States.Add(int64(len(order)))
+		o.Explore.States.Add(int64(len(states)))
 	}
-	emitSeqProgress(o, len(order), len(order), st, true)
-	return order, nil
-}
-
-// checkSeq is the sequential store-backed invariant check. Node
-// indices double as interned IDs (both are dense insertion order), so
-// parent links are plain ints into the node slice.
-func (e *Engine) checkSeq(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (*Violation, error) {
-	limit := e.opts.limit()
-	o := e.opts.Obs
-	if o != nil {
-		defer o.Tracer.Span(0, "explore", "check-seq "+a.Name())()
-	}
-	scratch := newActionScratch(a)
-	st, err := e.newSeen()
-	if err != nil {
-		return nil, err
-	}
-	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
-	defer st.Close()
-	var sel func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-	var seen func(ioa.State) bool
-	cursor := 0
-	if e.opts.Ample != nil {
-		sel = e.opts.Ample.NewSelector()
-		// Same expanded-or-current proviso oracle as reachSeq (node
-		// indices are interned IDs).
-		seen = func(t ioa.State) bool {
-			id, ok := st.Has(t)
-			return ok && int(id) <= cursor
-		}
-	}
-	type node struct {
-		state  ioa.State
-		parent int
-		act    ioa.Action
-	}
-	var nodes []node
-	witness := func(i int) *ioa.Execution {
-		var rev []int
-		for j := i; j >= 0; j = nodes[j].parent {
-			rev = append(rev, j)
-		}
-		x := ioa.NewExecution(a, nodes[rev[len(rev)-1]].state)
-		for k := len(rev) - 2; k >= 0; k-- {
-			x.Append(nodes[rev[k]].act, nodes[rev[k]].state)
-		}
-		return x
-	}
-	for _, s := range a.Start() {
-		if _, fresh := st.Intern(s); fresh {
-			nodes = append(nodes, node{state: s, parent: -1, act: ""})
-		}
-	}
-	var curParent int
-	var curAct ioa.Action
-	yield := func(nxt ioa.State) bool {
-		if _, fresh := st.Intern(nxt); fresh {
-			nodes = append(nodes, node{state: nxt, parent: curParent, act: curAct})
-		}
-		return true
-	}
-	for i := 0; i < len(nodes); i++ {
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := st.Err(); err != nil {
-				return nil, seenErr(a, err)
-			}
-			if i&(seqProgressStride-1) == 0 && i > 0 {
-				emitSeqProgress(o, len(nodes), i, st, false)
-			}
-		}
-		if !pred(nodes[i].state) {
-			return &Violation{State: nodes[i].state, Trace: witness(i)}, nil
-		}
-		if len(nodes) >= limit {
-			// Stricter than Reach by design (and matching the seed):
-			// the node store being full is an error even when the
-			// frontier is about to empty, because witnesses for states
-			// past the budget could not be built.
-			storeGauges(o, st)
-			return nil, errLimit(a, limit)
-		}
-		curParent = i
-		acts := scratch.step(a, nodes[i].state)
-		if sel != nil {
-			cursor = i
-			acts = sel(nodes[i].state, acts, seen)
-		}
-		for _, act := range acts {
-			curAct = act
-			ioa.VisitNext(a, nodes[i].state, act, yield)
-		}
-	}
-	if err := st.Err(); err != nil {
-		return nil, seenErr(a, err)
-	}
-	storeGauges(o, st)
-	emitSeqProgress(o, len(nodes), len(nodes), st, true)
-	return nil, nil
+	emitSeqProgress(o, len(states), len(states), st, true)
+	return states, nil, nil
 }

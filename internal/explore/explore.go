@@ -14,9 +14,7 @@
 // states with dense IDs) and enumerate successors through
 // ioa.VisitNext (the zero-allocation Stepper fast path); see engine.go
 // and parallel.go. The pre-store string-keyed explorer is preserved in
-// reference.go as the differential-testing oracle. The former
-// top-level functions (Reach, CheckInvariant, ...) remain as
-// deprecated shims in shims.go.
+// reference.go as the differential-testing oracle.
 package explore
 
 import (
@@ -102,11 +100,10 @@ func (c *closedWorld) VisitNext(s ioa.State, a ioa.Action, yield func(ioa.State)
 // Enabled implements Automaton.
 func (c *closedWorld) Enabled(s ioa.State) []ioa.Action { return c.inner.Enabled(s) }
 
-// PeelWrapper implements ioa.Wrapper, so structural analyses (the
-// reduce package's partial-order footprint walk) can reach the
-// composition underneath; action names are unchanged. The removed
-// environment inputs surface there as leaf actions missing from the
-// top-level signature, which the analysis treats as never-firing.
+// PeelWrapper implements ioa.Wrapper, so structural walks (ioa.Peel)
+// can reach the composition underneath; action names are unchanged.
+// The removed environment inputs surface there as leaf actions missing
+// from the top-level signature.
 func (c *closedWorld) PeelWrapper() (ioa.Automaton, *ioa.Mapping) { return c.inner, nil }
 
 // Parts implements Automaton.

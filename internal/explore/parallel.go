@@ -28,29 +28,21 @@ package explore
 // depth-d state lies in the depth-(d-1) frontier, and within one level
 // ID order equals key order by the sorted-interning invariant.
 //
-// Where the sequential explorer probes successors for every action π
-// of the signature, the engine expands only Enabled(s) plus the input
-// actions. This is exact for I/O automata: inputs are enabled in every
-// state (the input-enabledness axiom, §2.1), and a locally-controlled
-// action outside Enabled(s) has no step from s. It turns the per-state
-// cost from |acts(A)| guard evaluations into |enabled(s)| + |in(A)|,
-// which the composition memo layer makes mostly cache hits; the
+// Each state is expanded over Enabled(s) plus the input actions, not
+// every action of the signature. This is exact for I/O automata:
+// inputs are enabled in every state (the input-enabledness axiom,
+// §2.1), and a locally-controlled action outside Enabled(s) has no
+// step from s. It turns the per-state cost from |acts(A)| guard
+// evaluations into |enabled(s)| + |in(A)|; the sequential engine
+// probes the same actions in sorted order (actionScratch), and the
 // differential test battery checks the resulting state sets against
-// the sequential sweep on every seed.
+// it on every seed.
 //
-// Reduction (Options.Canon / Options.Ample) preserves the argument.
-// Under a canonicalizer, membership and merge dedup run on canonical
-// bytes, so the set of orbits discovered at depth d is still a pure
-// function of the orbits at depths < d, and candLess picks a
-// scheduling-independent concrete representative per orbit. Under an
-// ample selector, each state's expanded action subset is a
-// deterministic function of (state, frozen store) — workers consult
-// nothing level-local — so the reduced frontier is as reproducible as
-// the full one. The sequential and parallel engines may explore
-// different (each sound, each deterministic) reduced subsets, because
-// the cycle proviso's freshness oracle is the live store in one and
-// the frozen previous-levels store in the other; the reduce package's
-// differential battery pins verdict equality across both.
+// Symmetry quotienting (Options.Canon) preserves the argument. Under a
+// canonicalizer, membership and merge dedup run on canonical bytes, so
+// the set of orbits discovered at depth d is still a pure function of
+// the orbits at depths < d, and candLess picks a
+// scheduling-independent concrete representative per orbit.
 
 import (
 	"bytes"
@@ -191,7 +183,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 				levelStart = e.opts.Now()
 			}
 		}
-		next := e.expandLevel(a, gst, inputs, states, level, probes, depth, o)
+		next := expandLevel(a, gst, inputs, states, level, probes, depth, o)
 		if err := gst.Err(); err != nil {
 			// A worker's probe latched a storage failure during the
 			// frozen phase: the candidate set may be incomplete, so the
@@ -289,7 +281,7 @@ func emitLevelProgress(o *obs.Obs, gst store.SeenSet, depth, states, frontier in
 // through their per-worker probes; merge-time dedup runs one goroutine
 // per shard over hash-routed outboxes, comparing encodings byte-wise
 // against a per-shard scratch arena (hashes route, bytes decide).
-func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Action, states []ioa.State,
+func expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Action, states []ioa.State,
 	level []store.ID, probes []store.MemberProbe, depth int, o *obs.Obs) []cand {
 	w := len(probes)
 	// outboxes[worker][shard] holds candidate crumbs.
@@ -305,45 +297,20 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 			// increments), flushed to the sharded counters once per
 			// level — so the disabled path stays metric-free and the
 			// enabled path stays contention-free.
-			var emitted, dedupHits int64
+			var emitted int64
 			var workStart time.Time
 			if o != nil {
 				workStart = o.Tracer.Now()
 			}
 			probe := probes[wi]
 			buckets := make([][]cand, w)
-			var local *senderDedup
-			if e.opts.Dedup {
-				local = newSenderDedup()
-			}
-			// Ample selection runs per worker: the selector is a
-			// deterministic function of (state, frozen store), and it
-			// finishes before the successor yields start, so it may
-			// share the worker's probe as its freshness oracle. The
-			// frozen store holds every state of depth ≤ current, which
-			// is exactly what the BFS cycle proviso needs (a "fresh"
-			// successor is genuinely at depth+1, so postponement
-			// chains strictly increase depth and terminate).
-			var scratch *actionScratch
-			var sel func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-			var seen func(ioa.State) bool
-			if e.opts.Ample != nil {
-				scratch = newActionScratch(a)
-				sel = e.opts.Ample.NewSelector()
-				seen = func(t ioa.State) bool { _, _, ok := probe.Lookup(t); return ok }
-			}
 			var curParent store.ID
 			var curAct ioa.Action
 			yield := func(nxt ioa.State) bool {
 				if _, h, ok := probe.Lookup(nxt); !ok {
-					c := cand{state: nxt, parent: curParent, act: curAct, hash: h}
 					emitted++
-					sh := int(h % uint64(w))
-					if local != nil && local.absorb(buckets, sh, c, probe.Bytes()) {
-						dedupHits++
-					} else {
-						buckets[sh] = append(buckets[sh], c)
-					}
+					sh := h % uint64(w)
+					buckets[sh] = append(buckets[sh], cand{state: nxt, parent: curParent, act: curAct, hash: h})
 				}
 				return true
 			}
@@ -359,15 +326,6 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 				for _, id := range level[start:end] {
 					s := states[id]
 					curParent = id
-					if sel != nil {
-						// The selector needs the sorted merged list
-						// (seed order is part of its determinism).
-						for _, act := range sel(s, scratch.step(a, s), seen) {
-							curAct = act
-							ioa.VisitNext(a, s, act, yield)
-						}
-						continue
-					}
 					// Do not mutate the Enabled result: the memo layer
 					// may hand out a shared cached slice.
 					for _, act := range a.Enabled(s) {
@@ -383,7 +341,6 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 			outboxes[wi] = buckets
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)
-				o.Explore.DedupHits.AddShard(wi, dedupHits)
 				o.Tracer.Complete(wi+1, "explore", "expand", workStart,
 					map[string]any{"level": depth, "emitted": emitted})
 			}
@@ -410,9 +367,7 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 					// quotienting, orbit-mates discovered by different
 					// workers must collapse here — the coordinator's
 					// intern loop assumes every merged candidate is
-					// fresh and distinct. (Probe.Bytes, the sender-side
-					// filter's encoding, is canonical for the same
-					// reason.)
+					// fresh and distinct.
 					buf = gst.AppendCanonical(buf[:0], c.state)
 					dup := false
 					for _, ci := range pending[c.hash] {
@@ -445,45 +400,6 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 	}
 	sortCandsByKey(next)
 	return next
-}
-
-// senderDedup is the optional worker-local duplicate filter
-// (Options.Dedup): it remembers the encoding of every candidate the
-// worker has emitted this level, so a repeat discovery is resolved in
-// place (keeping the lexicographically lesser crumb) instead of
-// traveling to the merge. Hashes bucket, bytes decide.
-type senderDedup struct {
-	pos   map[uint64][]dedupPos
-	arena []byte
-}
-
-// dedupPos locates an emitted candidate: its outbox slot and its
-// encoding within the dedup arena.
-type dedupPos struct {
-	shard, idx int
-	off, n     int
-}
-
-func newSenderDedup() *senderDedup {
-	return &senderDedup{pos: make(map[uint64][]dedupPos)}
-}
-
-// absorb resolves c against the already-emitted candidates. It returns
-// true when c was a duplicate (possibly improving the stored crumb in
-// place); false means c is new and was recorded — the caller must then
-// append it to buckets[sh].
-func (d *senderDedup) absorb(buckets [][]cand, sh int, c cand, enc []byte) bool {
-	for _, p := range d.pos[c.hash] {
-		if bytes.Equal(d.arena[p.off:p.off+p.n], enc) {
-			if candLess(c, buckets[p.shard][p.idx]) {
-				buckets[p.shard][p.idx] = c
-			}
-			return true
-		}
-	}
-	d.pos[c.hash] = append(d.pos[c.hash], dedupPos{shard: sh, idx: len(buckets[sh]), off: len(d.arena), n: len(enc)})
-	d.arena = append(d.arena, enc...)
-	return false
 }
 
 // checkLevel evaluates pred over the newly admitted states (IDs from

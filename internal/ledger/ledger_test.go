@@ -293,3 +293,22 @@ func TestParseSchemaMismatch(t *testing.T) {
 		t.Fatal("Parse accepted a future schema version")
 	}
 }
+
+// TestParseLegacyPORField: journals written while the engine had a
+// partial-order-reduction knob carry "por":true in Schema=1 run
+// records; they still parse, to the same Run minus that field.
+func TestParseLegacyPORField(t *testing.T) {
+	r := strings.NewReader(`{"schema":1,"kind":"run","seq":1,"t_ns":5,"run":{"tool":"ioasim","mode":"reach","system":"star","users":8,"workers":2,"symmetry":true,"por":true,"wall_ns":9,"states":4088,"verdict":"ok"}}`)
+	entries, err := Parse(r)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if len(entries) != 1 || entries[0].Run == nil {
+		t.Fatalf("parsed %+v, want one run entry", entries)
+	}
+	want := Run{Tool: "ioasim", Mode: "reach", System: "star", Users: 8, Workers: 2,
+		Symmetry: true, WallNS: 9, States: 4088, Verdict: "ok"}
+	if !reflect.DeepEqual(*entries[0].Run, want) {
+		t.Fatalf("legacy record parsed to\n %+v\nwant\n %+v", *entries[0].Run, want)
+	}
+}

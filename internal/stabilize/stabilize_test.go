@@ -203,8 +203,8 @@ func TestCertifyValidation(t *testing.T) {
 	}
 }
 
-// TestEnvelopeUnionDedup: Certify counts distinct envelope states, so
-// overlapping unions do not inflate the envelope.
+// TestEnvelopeUnionDedup checks that Certify counts distinct envelope
+// states, so overlapping unions do not inflate the envelope.
 func TestEnvelopeUnionDedup(t *testing.T) {
 	env := domain.Union("u",
 		domain.Explicit("x", keys("3", "2")),

@@ -21,9 +21,6 @@ type MemberProbe interface {
 	// verdict. Implementations that can fail (disk reads) report
 	// not-found and latch the error on the owning set's Err.
 	Lookup(s ioa.State) (ID, uint64, bool)
-	// Bytes returns the canonical encoding produced by the most recent
-	// Lookup; valid until the next Lookup on this probe.
-	Bytes() []byte
 }
 
 // A SeenSet interns state encodings and hands out dense IDs: the i-th

@@ -595,10 +595,6 @@ func (p *spillProbe) Lookup(s ioa.State) (ID, uint64, bool) {
 	return id, h, ok
 }
 
-// Bytes returns the canonical encoding from the most recent Lookup,
-// valid until the next Lookup on this probe.
-func (p *spillProbe) Bytes() []byte { return p.buf }
-
 // runCursor decodes one run sequentially for merge-joins.
 type runCursor struct {
 	r    *bufio.Reader

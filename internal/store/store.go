@@ -308,6 +308,5 @@ func (p *Probe) Lookup(s ioa.State) (ID, uint64, bool) {
 // Bytes returns the canonical encoding produced by the most recent
 // Lookup. The slice aliases the probe's buffer — never the caller's
 // input state or the store arenas — and is only valid until the next
-// Lookup on this probe; consumers that outlive that window (the
-// sender-side dedup filter, the merge arenas) copy it.
+// Lookup on this probe; consumers that outlive that window copy it.
 func (p *Probe) Bytes() []byte { return p.buf }
