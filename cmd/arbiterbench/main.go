@@ -14,10 +14,10 @@
 // -obs-addr serves live expvar and pprof endpoints for the duration
 // of any run.
 //
-// The exploration knobs (-workers, -limit, -spill-dir, -dist-*) are
-// the shared set registered by explore.BindFlags — identical flags and
-// defaults in ioasim (the -dist-* cluster flags act only in ioasim,
-// which hosts the coordinator/worker modes).
+// The exploration knobs -workers and -limit are registered by
+// explore.BindBudgetFlags — the same flags and defaults as in ioasim.
+// The symmetry, -spill-* and -dist-* knobs are not accepted here: the
+// sweeps fix their own reduction, storage and cluster settings.
 // -workers also sizes the chaos sweep's per-state safety pool.
 //
 // Usage:
@@ -102,7 +102,7 @@ func main() {
 		seed         = flag.Int64("seed", 1, "scheduler tie-break seed")
 		maxN         = flag.Int("max", 64, "largest user count in sweeps")
 		quick        = flag.Bool("quick", false, "small sweep for smoke testing")
-		ex           = explore.BindFlags(flag.CommandLine)
+		ex           = explore.BindBudgetFlags(flag.CommandLine)
 		sweepName    = flag.String("sweep", "", "run one registered sweep by name and exit (see bench.Sweeps)")
 		sweepOut     = flag.String("sweep-out", "", "write the -sweep rows as JSON to this file")
 		exploreUsers = flag.Int("explore-users", 6, "users per arbiter instance in the explore sweep")

@@ -75,9 +75,10 @@
 // exploration knobs (-workers, -limit, -symmetry) are the shared set
 // registered by explore.BindFlags — identical flags and defaults in
 // arbiterbench — and resolve into the explore.Options behind one
-// explore.Engine: -workers selects the sharded parallel explorer (0 =
-// GOMAXPROCS, 1 = sequential), whose per-depth key-sorted order is
-// identical at any worker count; -limit bounds the exploration.
+// explore.Engine: -workers sizes the level-synchronized explorer's
+// pool (0 = GOMAXPROCS), whose per-depth key-sorted order and
+// witnesses are identical at any worker count; -limit bounds the
+// exploration.
 //
 // The -faults flag injects seeded channel faults into the distributed
 // arbiter systems: arbiter3 runs the plain A₃ over the faulty channels

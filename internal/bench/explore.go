@@ -1,12 +1,12 @@
 package bench
 
 // Reachability benchmark sweep over the three arbiter levels
-// (E15): sequential exploration with the composition memo disabled
-// (the seed baseline), sequential with memo, and the parallel sharded
-// explorer at several worker counts. Each row records wall-clock time,
-// the speedup against the uncached sequential baseline on the same
-// system, the host it ran on, and — for one-worker rows —
-// allocations per state, which the bench gate bounds.
+// (E15): one worker with the composition memo disabled (the seed
+// baseline), then the level-synchronized engine with the memo on at
+// several worker counts. Each row records wall-clock time, the speedup
+// against the uncached baseline on the same system, the host it ran
+// on, and — for one-worker rows — allocations per state, which the
+// bench gate bounds.
 
 import (
 	"context"
@@ -34,7 +34,8 @@ import (
 type ExploreRow struct {
 	// System is the closed system explored: arbiter1, arbiter2, arbiter3.
 	System string `json:"system"`
-	// Mode is serial-nomemo (seed baseline), serial, or parallel.
+	// Mode is serial-nomemo (one worker, memo off: the seed baseline)
+	// or parallel.
 	Mode string `json:"mode"`
 	// Workers is the pool size for parallel mode, 0 otherwise.
 	Workers int `json:"workers,omitempty"`
@@ -278,9 +279,6 @@ func ExploreSweep(cfg ExploreConfig) ([]ExploreRow, error) {
 			rows = append(rows, row)
 			return nil
 		}
-		if err := measure("serial", 0); err != nil {
-			return nil, err
-		}
 		for _, w := range workers {
 			if err := measure("parallel", w); err != nil {
 				return nil, err
@@ -299,7 +297,7 @@ func WriteExploreJSON(w io.Writer, rows []ExploreRow) error {
 
 // PrintExplore renders the sweep as a table.
 func PrintExplore(w io.Writer, rows []ExploreRow) {
-	title := "Reachability: serial vs memoized vs parallel (best-of-reps wall clock)"
+	title := "Reachability: memo-off baseline vs memoized workers (best-of-reps wall clock)"
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 	fmt.Fprintf(w, "%-10s %-14s %8s %8s %12s %9s %12s\n",
 		"system", "mode", "workers", "states", "ns", "speedup", "allocs/state")

@@ -18,8 +18,8 @@ func TestExploreSweepAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 { // 3 systems × (serial-nomemo, serial, parallel@2)
-		t.Fatalf("got %d rows, want 9", len(rows))
+	if len(rows) != 6 { // 3 systems × (serial-nomemo, parallel@2)
+		t.Fatalf("got %d rows, want 6", len(rows))
 	}
 	var buf bytes.Buffer
 	if err := WriteExploreJSON(&buf, rows); err != nil {
@@ -64,17 +64,17 @@ func TestExploreSystemLevels(t *testing.T) {
 
 // BenchmarkReachSerialVsParallel times reachability on the closed
 // level-1/2/3 arbiters in each mode. The serial-nomemo mode is the
-// seed baseline (composition caches disabled); parallel runs the
-// sharded engine with the memo on.
+// seed baseline (one worker, composition caches disabled); parallel
+// runs the engine with the memo on.
 func BenchmarkReachSerialVsParallel(b *testing.B) {
 	const nUsers = 3
 	modes := []struct {
 		name    string
 		memo    bool
-		workers int // 0 = sequential
+		workers int
 	}{
-		{"serial-nomemo", false, 0},
-		{"serial", true, 0},
+		{"serial-nomemo", false, 1},
+		{"parallel-1", true, 1},
 		{"parallel-2", true, 2},
 		{"parallel-4", true, 4},
 	}
@@ -91,12 +91,7 @@ func BenchmarkReachSerialVsParallel(b *testing.B) {
 						ioa.SetMemoDeep(a, false)
 					}
 					b.StartTimer()
-					var states []ioa.State
-					if m.workers > 0 {
-						states, err = explore.New(explore.Options{Workers: m.workers}).Reach(context.Background(), a)
-					} else {
-						states, err = explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
-					}
+					states, err := explore.New(explore.Options{Workers: m.workers}).Reach(context.Background(), a)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -68,7 +68,7 @@ type ReductionConfig struct {
 	StarUsers []int
 	// Limit bounds each exploration (0 means explore.DefaultLimit).
 	Limit int
-	// Workers is the explorer pool size (0 or 1 means sequential).
+	// Workers is the explorer pool size (0 = GOMAXPROCS).
 	Workers int
 	// Reps is how many timed repetitions to take the best of
 	// (default 1; the state counts are deterministic either way).

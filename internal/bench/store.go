@@ -1,10 +1,10 @@
 package bench
 
-// Interned-store benchmark sweep (E18): sequential reachability on the
+// Interned-store benchmark sweep (E18): reachability on the
 // closed arbiter levels with the PR-4 seed explorer (string-keyed
 // map[string]struct{} dedup, successor slices materialized per step —
 // kept as explore.ReferenceReach) versus the interned store-backed
-// engine, sequential and parallel. Each row records wall-clock time,
+// engine at one worker and at several. Each row records wall-clock time,
 // the speedup against the reference baseline on the same system, and —
 // for interned rows — the store's arena footprint, from which
 // EXPERIMENTS.md derives the bytes/state accounting. Rows are written
@@ -30,7 +30,7 @@ type StoreRow struct {
 	// System is the closed system explored: arbiter1, arbiter2, arbiter3.
 	System string `json:"system"`
 	// Mode is reference (PR-4 seed explorer), interned (store-backed
-	// sequential engine), or interned-parallel.
+	// engine at one worker), or interned-parallel.
 	Mode string `json:"mode"`
 	// Workers is the pool size for interned-parallel, 0 otherwise.
 	Workers int `json:"workers,omitempty"`

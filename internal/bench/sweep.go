@@ -59,7 +59,7 @@ func (c SweepConfig) out() io.Writer {
 var sweeps = []Sweep{
 	{
 		Name: "explore", Artifact: "BENCH_explore.json",
-		Description: "serial vs parallel sharded reachability on the closed arbiter levels (E15)",
+		Description: "memo-off baseline vs the level engine at 1, 2, 4 workers on the closed arbiter levels (E15)",
 		Run: func(cfg SweepConfig) (any, int, error) {
 			users := cfg.Users
 			if users <= 0 {

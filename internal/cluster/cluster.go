@@ -591,17 +591,9 @@ func Work(ctx context.Context, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d: build: %w", rank, err)
 	}
-	var seen store.SeenSet
-	if cfg.Spill != nil {
-		spOpts := *cfg.Spill
-		spOpts.Canon = cfg.Canon
-		sp, err := store.NewSpill(spOpts)
-		if err != nil {
-			return fmt.Errorf("cluster: rank %d: %w", rank, err)
-		}
-		seen = sp
-	} else {
-		seen = store.New(store.Options{Canon: cfg.Canon})
+	seen, err := store.NewSeen(cfg.Spill, cfg.Canon)
+	if err != nil {
+		return fmt.Errorf("cluster: rank %d: %w", rank, err)
 	}
 	//lint:ignore errflow storage failures already aborted the level loop; Close here only releases temp files
 	defer seen.Close()

@@ -140,9 +140,8 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	limit := int64(e.opts.limit())
 	decode := e.opts.Decode
 
-	spOpts := *e.opts.Spill
-	spOpts.Canon = e.opts.Canon
-	sp, err := store.NewSpill(spOpts)
+	spOpts := e.opts.Spill
+	sp, err := store.NewSpill(*spOpts, e.opts.Canon)
 	if err != nil {
 		return sum, err
 	}
@@ -237,7 +236,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	}
 	cur, nxt = nxt, cur
 
-	scratch := newActionScratch(a)
+	inputs := a.Sig().Inputs().Sorted()
 	var enc []byte
 	for depth := int64(1); cur.Len() > 0; depth++ {
 		if err := ctx.Err(); err != nil {
@@ -255,7 +254,11 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			if derr != nil {
 				return fmt.Errorf("explore: %s: decode: %w", a.Name(), derr)
 			}
-			if len(a.Enabled(s)) == 0 {
+			// Enabled(s) then the inputs, as expandLevel steps them;
+			// chunks are key-sorted at flush, so the action order does
+			// not reach the visit order.
+			enabled := a.Enabled(s)
+			if len(enabled) == 0 {
 				sum.Deadlocks++
 			}
 			yield := func(nxtState ioa.State) bool {
@@ -263,7 +266,10 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 				chunk.add(enc)
 				return true
 			}
-			for _, act := range scratch.step(a, s) {
+			for _, act := range enabled {
+				ioa.VisitNext(a, s, act, yield)
+			}
+			for _, act := range inputs {
 				ioa.VisitNext(a, s, act, yield)
 			}
 			if chunk.full() {

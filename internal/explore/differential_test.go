@@ -1,8 +1,9 @@
 package explore_test
 
-// Differential battery: the parallel sharded explorer must agree with
-// the sequential explorer on state sets, invariant verdicts, and error
-// behavior, over randomized automata (seeded via internal/testseed),
+// Differential battery: the level-synchronized engine must agree with
+// the seed explorer (ReferenceReach, bfsLevels) on state sets,
+// invariant verdicts, witness depths, and error behavior at every
+// worker count, over randomized automata (seeded via internal/testseed),
 // compositions, and the repository's real systems.
 
 import (
@@ -77,38 +78,51 @@ func stateSet(states []ioa.State) map[string]struct{} {
 	return m
 }
 
-func assertSameSet(t *testing.T, label string, seq, par []ioa.State) {
+func assertSameSet(t *testing.T, label string, ref, got []ioa.State) {
 	t.Helper()
-	ss, ps := stateSet(seq), stateSet(par)
-	if len(ss) != len(seq) || len(ps) != len(par) {
-		t.Fatalf("%s: duplicate states in result (seq %d/%d unique, par %d/%d unique)",
-			label, len(ss), len(seq), len(ps), len(par))
+	rs, gs := stateSet(ref), stateSet(got)
+	if len(rs) != len(ref) || len(gs) != len(got) {
+		t.Fatalf("%s: duplicate states in result (reference %d/%d unique, engine %d/%d unique)",
+			label, len(rs), len(ref), len(gs), len(got))
 	}
-	for k := range ss {
-		if _, ok := ps[k]; !ok {
-			t.Fatalf("%s: state %q reached sequentially but not in parallel", label, k)
+	for k := range rs {
+		if _, ok := gs[k]; !ok {
+			t.Fatalf("%s: state %q reached by the reference but not the engine", label, k)
 		}
 	}
-	for k := range ps {
-		if _, ok := ss[k]; !ok {
-			t.Fatalf("%s: state %q reached in parallel but not sequentially", label, k)
+	for k := range gs {
+		if _, ok := rs[k]; !ok {
+			t.Fatalf("%s: state %q reached by the engine but not the reference", label, k)
 		}
 	}
 }
 
-// TestDifferentialReachRandom: ParallelReach ≡ Reach on state sets for
-// randomized automata at every worker count.
+// minViolationDepth is the oracle verdict for an invariant: the least
+// BFS depth holding a state that fails pred, or -1 if none does.
+func minViolationDepth(a ioa.Automaton, pred func(ioa.State) bool) int {
+	for d, lvl := range bfsStateLevels(a) {
+		for _, s := range lvl {
+			if !pred(s) {
+				return d
+			}
+		}
+	}
+	return -1
+}
+
+// TestDifferentialReachRandom: Reach ≡ ReferenceReach on state sets
+// for randomized automata at every worker count.
 func TestDifferentialReachRandom(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(base + seed))
 		a := randSystem(rng, seed)
-		seq, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		seq, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, w := range diffWorkers {
-			par, err := parallelReach(a, explore.Options{Workers: w})
+			par, err := engineReach(a, explore.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
@@ -127,7 +141,7 @@ func TestDifferentialReachDeterministic(t *testing.T) {
 		var ref []ioa.State
 		for run := 0; run < 3; run++ {
 			for _, w := range diffWorkers {
-				got, err := parallelReach(a, explore.Options{Workers: w})
+				got, err := engineReach(a, explore.Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,15 +163,15 @@ func TestDifferentialReachDeterministic(t *testing.T) {
 	}
 }
 
-// TestDifferentialInvariantVerdicts: CheckInvariant and ParallelCheck
-// agree on verdicts (limit-free), and parallel witnesses are valid
-// minimal traces.
+// TestDifferentialInvariantVerdicts: CheckInvariant agrees with the
+// BFS oracle on verdicts (limit-free) at every worker count, and its
+// witnesses are valid traces of the oracle's minimal depth.
 func TestDifferentialInvariantVerdicts(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(base + 300 + seed))
 		a := randSystem(rng, seed)
-		seq, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		seq, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,47 +184,59 @@ func TestDifferentialInvariantVerdicts(t *testing.T) {
 			"start":     func(s ioa.State) bool { return s.Key() != a.Start()[0].Key() },
 		}
 		for name, pred := range preds {
-			sv, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).CheckInvariant(context.Background(), a, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
+			depth := minViolationDepth(a, pred)
 			for _, w := range diffWorkers {
-				pv, err := parallelCheck(a, explore.Options{Workers: w}, pred)
+				pv, err := engineCheck(a, explore.Options{Workers: w}, pred)
 				if err != nil {
 					t.Fatalf("seed %d %s workers %d: %v", seed, name, w, err)
 				}
-				if (sv == nil) != (pv == nil) {
-					t.Fatalf("seed %d %s workers %d: verdicts differ: seq=%v par=%v",
-						seed, name, w, sv, pv)
+				if (depth < 0) != (pv == nil) {
+					t.Fatalf("seed %d %s workers %d: verdicts differ: oracle depth %d, engine %v",
+						seed, name, w, depth, pv)
 				}
 				if pv == nil {
 					continue
 				}
 				if pred(pv.State) {
-					t.Fatalf("seed %d %s: parallel violation state %q satisfies pred", seed, name, pv.State.Key())
+					t.Fatalf("seed %d %s: violation state %q satisfies pred", seed, name, pv.State.Key())
 				}
 				if err := pv.Trace.Validate(true); err != nil {
-					t.Fatalf("seed %d %s: parallel witness invalid: %v", seed, name, err)
+					t.Fatalf("seed %d %s: witness invalid: %v", seed, name, err)
 				}
 				if pv.Trace.Last().Key() != pv.State.Key() {
 					t.Fatalf("seed %d %s: witness does not end at the violation", seed, name)
 				}
-				// BFS finds violations at minimal depth on both paths.
-				if len(pv.Trace.Acts) != len(sv.Trace.Acts) {
-					t.Fatalf("seed %d %s: witness depth differs: seq=%d par=%d",
-						seed, name, len(sv.Trace.Acts), len(pv.Trace.Acts))
+				// BFS finds violations at minimal depth.
+				if len(pv.Trace.Acts) != depth {
+					t.Fatalf("seed %d %s workers %d: witness depth %d, oracle %d",
+						seed, name, w, len(pv.Trace.Acts), depth)
 				}
 			}
 		}
 	}
 }
 
-// bfsLevels computes the reachable states grouped by BFS depth,
-// sequentially — the test oracle for partial-result checks.
+// bfsLevels computes the keys of the reachable states grouped by BFS
+// depth, in discovery order within each depth — the test oracle for
+// order and partial-result checks.
 func bfsLevels(a ioa.Automaton) [][]string {
+	var levels [][]string
+	for _, lvl := range bfsStateLevels(a) {
+		keys := make([]string, 0, len(lvl))
+		for _, s := range lvl {
+			keys = append(keys, s.Key())
+		}
+		levels = append(levels, keys)
+	}
+	return levels
+}
+
+// bfsStateLevels is bfsLevels over the states themselves: a
+// string-keyed BFS stepping every action through Next.
+func bfsStateLevels(a ioa.Automaton) [][]ioa.State {
 	acts := a.Sig().Acts().Sorted()
 	seen := make(map[string]struct{})
-	var levels [][]string
+	var levels [][]ioa.State
 	var level []ioa.State
 	for _, s := range a.Start() {
 		if _, ok := seen[s.Key()]; ok {
@@ -220,11 +246,7 @@ func bfsLevels(a ioa.Automaton) [][]string {
 		level = append(level, s)
 	}
 	for len(level) > 0 {
-		keys := make([]string, 0, len(level))
-		for _, s := range level {
-			keys = append(keys, s.Key())
-		}
-		levels = append(levels, keys)
+		levels = append(levels, level)
 		var next []ioa.State
 		for _, s := range level {
 			for _, act := range acts {
@@ -242,17 +264,17 @@ func bfsLevels(a ioa.Automaton) [][]string {
 	return levels
 }
 
-// TestDifferentialErrLimitContract: under a tight budget both
-// explorers return explore.ErrLimit with exactly limit states; the partial
-// results agree on all complete BFS levels and are subsets of the
-// true reachable set.
+// TestDifferentialErrLimitContract: under a tight budget the engine
+// returns explore.ErrLimit with exactly limit states at every worker
+// count: the prefix of the canonical order, holding all complete BFS
+// levels, and a subset of the true reachable set.
 func TestDifferentialErrLimitContract(t *testing.T) {
 	base := testseed.Base(t)
 	tried := 0
 	for seed := int64(0); seed < 40 && tried < 12; seed++ {
 		rng := rand.New(rand.NewSource(base + 400 + seed))
 		a := randSystem(rng, seed)
-		full, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		full, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,21 +283,15 @@ func TestDifferentialErrLimitContract(t *testing.T) {
 		}
 		tried++
 		limit := len(full)/2 + 1
-		seq, seqErr := explore.New(explore.Options{Workers: 1, Limit: limit}).Reach(context.Background(), a)
-		if !errors.Is(seqErr, explore.ErrLimit) {
-			t.Fatalf("seed %d: sequential explore.Reach(limit=%d) err = %v, want explore.ErrLimit", seed, limit, seqErr)
-		}
 		fullSet := stateSet(full)
 		levels := bfsLevels(a)
+		canon := sortedLevelOrder(a)
 		for _, w := range diffWorkers {
-			par, parErr := parallelReach(a, explore.Options{Workers: w, Limit: limit})
+			par, parErr := engineReach(a, explore.Options{Workers: w, Limit: limit})
 			if !errors.Is(parErr, explore.ErrLimit) {
-				t.Fatalf("seed %d workers %d: parallel err = %v, want explore.ErrLimit", seed, w, parErr)
+				t.Fatalf("seed %d workers %d: err = %v, want explore.ErrLimit", seed, w, parErr)
 			}
-			if len(par) != len(seq) {
-				t.Fatalf("seed %d workers %d: partial sizes differ: seq=%d par=%d",
-					seed, w, len(seq), len(par))
-			}
+			assertKeyOrder(t, fmt.Sprintf("seed %d workers %d partial", seed, w), canon[:limit], par)
 			ps := stateSet(par)
 			for k := range ps {
 				if _, ok := fullSet[k]; !ok {
@@ -304,16 +320,15 @@ func TestDifferentialErrLimitContract(t *testing.T) {
 	}
 }
 
-// TestDifferentialCheckLimitErrors: when the sequential invariant
-// check exhausts its budget cleanly, the parallel check also reports
-// failure (explore.ErrLimit, or a genuine violation found on the boundary
-// level).
+// TestDifferentialCheckLimitErrors: a tautology checked under half the
+// reachable states' budget reports explore.ErrLimit, never a
+// violation, at every worker count.
 func TestDifferentialCheckLimitErrors(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(base + 500 + seed))
 		a := randSystem(rng, seed)
-		full, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		full, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,17 +337,13 @@ func TestDifferentialCheckLimitErrors(t *testing.T) {
 		}
 		limit := len(full) / 2
 		pred := func(ioa.State) bool { return true }
-		_, seqErr := explore.New(explore.Options{Workers: 1, Limit: limit}).CheckInvariant(context.Background(), a, pred)
-		if !errors.Is(seqErr, explore.ErrLimit) {
-			t.Fatalf("seed %d: sequential err = %v, want explore.ErrLimit", seed, seqErr)
-		}
 		for _, w := range diffWorkers {
-			pv, parErr := parallelCheck(a, explore.Options{Workers: w, Limit: limit}, pred)
+			pv, parErr := engineCheck(a, explore.Options{Workers: w, Limit: limit}, pred)
 			if pv != nil {
 				t.Fatalf("seed %d workers %d: tautology produced violation %v", seed, w, pv)
 			}
 			if !errors.Is(parErr, explore.ErrLimit) {
-				t.Fatalf("seed %d workers %d: parallel err = %v, want explore.ErrLimit", seed, w, parErr)
+				t.Fatalf("seed %d workers %d: err = %v, want explore.ErrLimit", seed, w, parErr)
 			}
 		}
 	}
@@ -357,55 +368,51 @@ func TestDifferentialRealSystems(t *testing.T) {
 	}
 	systems["arbiterA3"] = sys.A3
 	for name, a := range systems {
-		seq, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		seq, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range diffWorkers {
-			par, err := parallelReach(a, explore.Options{Workers: w})
+			par, err := engineReach(a, explore.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", name, w, err)
 			}
 			assertSameSet(t, fmt.Sprintf("%s workers %d", name, w), seq, par)
 		}
 		// Invariant check differential on a real predicate: "the key
-		// of every reachable state differs from the last sequential
+		// of every reachable state differs from the last reference
 		// state" — false exactly once.
 		victim := seq[len(seq)-1].Key()
 		pred := func(s ioa.State) bool { return s.Key() != victim }
-		sv, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).CheckInvariant(context.Background(), a, pred)
+		pv, err := engineCheck(a, explore.Options{Workers: 4}, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv, err := parallelCheck(a, explore.Options{Workers: 4}, pred)
-		if err != nil {
-			t.Fatal(err)
+		if pv == nil || pv.State.Key() != victim {
+			t.Fatalf("%s: violation %v, want state %q", name, pv, victim)
 		}
-		if (sv == nil) != (pv == nil) {
-			t.Fatalf("%s: verdicts differ", name)
+		if err := pv.Trace.Validate(true); err != nil {
+			t.Fatalf("%s: invalid witness: %v", name, err)
 		}
-		if pv != nil {
-			if err := pv.Trace.Validate(true); err != nil {
-				t.Fatalf("%s: invalid parallel witness: %v", name, err)
-			}
+		if d := minViolationDepth(a, pred); len(pv.Trace.Acts) != d {
+			t.Fatalf("%s: witness depth %d, oracle %d", name, len(pv.Trace.Acts), d)
 		}
 	}
 }
 
-// TestReachOptsDispatch: the options front door picks the sequential
-// path at one worker and the parallel path otherwise, with identical
-// state sets either way.
+// TestReachOptsDispatch: the options front door runs one engine at any
+// worker count, so one and four workers give the identical order.
 func TestReachOptsDispatch(t *testing.T) {
 	a := figures.Fig21()
-	seq, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+	one, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := explore.New(explore.Options{Workers: 4}).Reach(context.Background(), a)
+	four, err := explore.New(explore.Options{Workers: 4}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSet(t, "dispatch", seq, par)
+	assertSameOrder(t, "dispatch", one, four)
 	if v, err := explore.New(explore.Options{Workers: 4}).CheckInvariant(context.Background(), a, func(ioa.State) bool { return true }); err != nil || v != nil {
 		t.Fatalf("CheckInvariantOpts: v=%v err=%v", v, err)
 	}

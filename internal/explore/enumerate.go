@@ -241,11 +241,13 @@ func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(io
 }
 
 // witnessTo builds an execution from a start state to target using the
-// BFS invariant checker (so the witness has minimal length).
+// BFS invariant checker under the engine's own options, so the witness
+// has minimal length and is the canonical one at any worker count. The
+// budget that let Reach admit target suffices: each level is checked
+// before CheckInvariant's full-store ErrLimit.
 func (e *Engine) witnessTo(ctx context.Context, a ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
 	tk := target.Key()
-	we := New(Options{Workers: 1, Limit: maxInt(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs, Now: e.opts.Now})
-	v, err := we.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
+	v, err := e.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
 	if err != nil {
 		return nil, err
 	}
@@ -253,13 +255,6 @@ func (e *Engine) witnessTo(ctx context.Context, a ioa.Automaton, target ioa.Stat
 		return nil, fmt.Errorf("explore: target state %q unreachable", tk)
 	}
 	return v.Trace, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EnabledReport summarizes, for diagnostics, which locally-controlled

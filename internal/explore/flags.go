@@ -4,8 +4,8 @@ package explore
 // arbiterbench both expose exploration knobs; before PR 5 each parsed
 // its own copies and the two binaries drifted (different defaults,
 // different help strings). BindFlags registers one canonical set of
-// flags on a FlagSet and Flags.Options resolves them into the Options
-// every Engine consumes.
+// flags on a FlagSet (BindBudgetFlags its -workers/-limit subset) and
+// Flags.Options resolves them into the Options every Engine consumes.
 
 import (
 	"flag"
@@ -36,18 +36,35 @@ type Flags struct {
 // cluster knobs) on fs and returns the handle that resolves them after
 // fs.Parse.
 func BindFlags(fs *flag.FlagSet) *Flags {
-	return &Flags{
-		workers:    fs.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS, 1 = sequential)"),
-		limit:      fs.Int("limit", DefaultLimit, "exploration state budget"),
-		symmetry:   fs.Bool("symmetry", false, "quotient the state space by the system's symmetry group (systems with a registered canonicalizer)"),
-		spillDir:   fs.String("spill-dir", "", "spill the seen set to delta-encoded runs under this directory when RAM budget is exceeded"),
-		spillMemMB: fs.Int("spill-mem-mb", 512, "in-RAM budget in MiB before the seen set spills (with -spill-dir)"),
+	f := BindBudgetFlags(fs)
+	f.symmetry = fs.Bool("symmetry", false, "quotient the state space by the system's symmetry group (systems with a registered canonicalizer)")
+	f.spillDir = fs.String("spill-dir", "", "spill the seen set to delta-encoded runs under this directory when RAM budget is exceeded")
+	f.spillMemMB = fs.Int("spill-mem-mb", 512, "in-RAM budget in MiB before the seen set spills (with -spill-dir)")
+	f.distListen = fs.String("dist-listen", "", "coordinate a sharded multi-process exploration, listening on this host:port")
+	f.distWorkers = fs.Int("dist-workers", 2, "worker process count for -dist-listen")
+	f.distJoin = fs.String("dist-join", "", "join a coordinator at this host:port as a worker process")
+	f.distSpawn = fs.Bool("dist-spawn", false, "with -dist-listen: spawn the worker processes from this binary")
+	f.distCorrupt = fs.Bool("dist-corrupt", false, "deliberately mis-shard this worker's candidates (CI must-fail probe)")
+	return f
+}
 
-		distListen:  fs.String("dist-listen", "", "coordinate a sharded multi-process exploration, listening on this host:port"),
-		distWorkers: fs.Int("dist-workers", 2, "worker process count for -dist-listen"),
-		distJoin:    fs.String("dist-join", "", "join a coordinator at this host:port as a worker process"),
-		distSpawn:   fs.Bool("dist-spawn", false, "with -dist-listen: spawn the worker processes from this binary"),
-		distCorrupt: fs.Bool("dist-corrupt", false, "deliberately mis-shard this worker's candidates (CI must-fail probe)"),
+// BindBudgetFlags registers only -workers and -limit on fs, for tools
+// that run the engine in RAM with no symmetry, spilling, or cluster:
+// a flag such a tool would ignore is not accepted at all. The other
+// knobs resolve to their off values.
+func BindBudgetFlags(fs *flag.FlagSet) *Flags {
+	return &Flags{
+		workers:    fs.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS); results are identical at any count"),
+		limit:      fs.Int("limit", DefaultLimit, "exploration state budget"),
+		symmetry:   new(bool),
+		spillDir:   new(string),
+		spillMemMB: new(int),
+
+		distListen:  new(string),
+		distWorkers: new(int),
+		distJoin:    new(string),
+		distSpawn:   new(bool),
+		distCorrupt: new(bool),
 	}
 }
 

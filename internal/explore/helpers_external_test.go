@@ -1,16 +1,18 @@
 package explore_test
 
 import (
+	"context"
+
 	"repro/internal/explore"
 	"repro/internal/ioa"
 )
 
-// Shorthands over the package-level test bridges in export_test.go.
+// Shorthands over the Engine front door with a background context.
 
-func parallelReach(a ioa.Automaton, opts explore.Options) ([]ioa.State, error) {
-	return explore.ParallelReachForTest(a, opts)
+func engineReach(a ioa.Automaton, opts explore.Options) ([]ioa.State, error) {
+	return explore.New(opts).Reach(context.Background(), a)
 }
 
-func parallelCheck(a ioa.Automaton, opts explore.Options, pred func(ioa.State) bool) (*explore.Violation, error) {
-	return explore.ParallelCheckForTest(a, opts, pred)
+func engineCheck(a ioa.Automaton, opts explore.Options, pred func(ioa.State) bool) (*explore.Violation, error) {
+	return explore.New(opts).CheckInvariant(context.Background(), a, pred)
 }

@@ -11,6 +11,7 @@ package explore
 // BENCH_obs.json.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -47,7 +48,7 @@ func benchReach(b *testing.B, opts Options, instrument bool) {
 		if instrument {
 			ioa.SetObsDeep(a, opts.Obs)
 		}
-		states, err := ParallelReachForTest(a, opts)
+		states, err := New(opts).Reach(context.Background(), a)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ioa"
@@ -10,14 +11,14 @@ import (
 // TestObsDoesNotChangeResults pins the core observability contract:
 // attaching an Obs changes nothing about the explored state set.
 func TestObsDoesNotChangeResults(t *testing.T) {
-	plain, err := ParallelReachForTest(modCounters(3, 4), Options{Workers: 3})
+	plain, err := New(Options{Workers: 3}).Reach(context.Background(), modCounters(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(nil)
 	a := modCounters(3, 4)
 	ioa.SetObsDeep(a, o)
-	instrumented, err := ParallelReachForTest(a, Options{Workers: 3, Obs: o})
+	instrumented, err := New(Options{Workers: 3, Obs: o}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestObsExploreMetrics(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4) // 64 states
 	ioa.SetObsDeep(a, o)
-	states, err := ParallelReachForTest(a, Options{Workers: 2, Obs: o})
+	states, err := New(Options{Workers: 2, Obs: o}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestObsExploreMetrics(t *testing.T) {
 func TestObsStatesCounterAtLimit(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4)
-	states, err := ParallelReachForTest(a, Options{Workers: 2, Limit: 10, Obs: o})
+	states, err := New(Options{Workers: 2, Limit: 10, Obs: o}).Reach(context.Background(), a)
 	if err == nil {
 		t.Fatal("want ErrLimit")
 	}

@@ -1,7 +1,9 @@
 package explore
 
-// Parallel sharded state-space exploration over the interned state
-// store. The engine runs a level-synchronized BFS: each level's
+// The exploration engine under Reach, CheckInvariant, and the
+// in-RAM Census, at every worker count: sharded state-space
+// exploration over the interned state store. The engine runs a
+// level-synchronized BFS: each level's
 // frontier is expanded by a pool of workers that steal fixed-size
 // chunks of the frontier off a shared cursor, successors are routed to
 // per-(worker, shard) outboxes, and at the level barrier each shard's
@@ -33,10 +35,9 @@ package explore
 // inputs are enabled in every state (the input-enabledness axiom,
 // §2.1), and a locally-controlled action outside Enabled(s) has no
 // step from s. It turns the per-state cost from |acts(A)| guard
-// evaluations into |enabled(s)| + |in(A)|; the sequential engine
-// probes the same actions in sorted order (actionScratch), and the
-// differential test battery checks the resulting state sets against
-// it on every seed.
+// evaluations into |enabled(s)| + |in(A)|; the differential test
+// battery checks the resulting levels against ReferenceReach, which
+// probes every action, on every seed.
 //
 // Symmetry quotienting (Options.Canon) preserves the argument. Under a
 // canonicalizer, membership and merge dedup run on canonical bytes, so
@@ -105,17 +106,14 @@ func sortCandsByKey(cands []cand) {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].state.Key() < cands[j].state.Key() })
 }
 
-// parallelExplore is the shared engine under the parallel Reach and
-// CheckInvariant paths. When pred is non-nil it is evaluated on every
+// parallelExplore is the engine under Reach and CheckInvariant at
+// every worker count. When pred is non-nil it is evaluated on every
 // level in canonical order and the first failing state is returned as
 // a Violation with a witness built from the canonical crumb chain.
 // Cancellation is checked at level granularity.
 func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) ([]ioa.State, *Violation, int, error) {
 	ctx = ctxOr(ctx)
 	w := e.opts.workers()
-	if w < 1 {
-		w = 1
-	}
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
@@ -126,7 +124,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		defer o.Tracer.Span(0, "explore", "explore "+a.Name())()
 	}
 	inputs := a.Sig().Inputs().Sorted()
-	gst, err := e.newSeen()
+	gst, err := store.NewSeen(e.opts.Spill, e.opts.Canon)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -143,8 +141,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	// Level 0: the start states, canonically sorted then interned in
 	// that order (deduplicating), establishing the ID-order-equals-
 	// key-order-within-a-level invariant the determinism argument
-	// needs. Like the sequential explorer, starts are admitted
-	// regardless of the limit.
+	// needs. Starts are admitted regardless of the limit.
 	starts := append([]ioa.State(nil), a.Start()...)
 	sortStatesByKey(starts)
 	var level []store.ID
@@ -208,8 +205,8 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		}
 		room := limit - len(states)
 		if room <= 0 {
-			// An unseen state exists beyond a full budget: the
-			// sequential contract returns the partial result as-is.
+			// An unseen state exists beyond a full budget: return
+			// the partial result as-is.
 			storeGauges(o, gst)
 			return states, nil, maxDepth, errLimit(a, limit)
 		}
@@ -243,9 +240,9 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 			return states, nil, maxDepth, errLimit(a, limit)
 		}
 		if pred != nil && len(states) >= limit {
-			// Mirror CheckInvariant's stricter budget check: it errors
-			// once the node store is full even when the frontier is
-			// about to empty.
+			// CheckInvariant's stricter budget check: it errors once
+			// the node store is full even when the frontier is about
+			// to empty.
 			return states, nil, maxDepth, errLimit(a, limit)
 		}
 	}

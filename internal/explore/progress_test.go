@@ -28,14 +28,14 @@ func (s *progressSink) all() []obs.Progress {
 	return append([]obs.Progress(nil), s.snaps...)
 }
 
-// TestSeqProgressEmission: the sequential sweep emits a snapshot every
-// seqProgressStride expansions (riding the cancellation-check branch)
-// and always a final Done carrying the store footprint.
+// TestSeqProgressEmission: at one worker the engine emits a snapshot at
+// every level barrier and always a final Done carrying the store
+// footprint.
 func TestSeqProgressEmission(t *testing.T) {
 	sink := &progressSink{}
 	o := obs.New(nil)
 	o.Progress = sink.on
-	a := modCounters(5, 8) // 32768 states: several strides' worth
+	a := modCounters(5, 8) // 32768 states over 36 levels
 	eng := New(Options{Workers: 1, Obs: o})
 	states, err := eng.Reach(context.Background(), a)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestSeqProgressEmission(t *testing.T) {
 	}
 	snaps := sink.all()
 	if len(snaps) < 3 {
-		t.Fatalf("got %d snapshots over %d states, want mid-walk strides plus Done", len(snaps), len(states))
+		t.Fatalf("got %d snapshots over %d states, want per-level plus Done", len(snaps), len(states))
 	}
 	var mid, done int
 	for _, p := range snaps {
@@ -66,7 +66,7 @@ func TestSeqProgressEmission(t *testing.T) {
 		}
 	}
 	if mid < 2 || done != 1 {
-		t.Fatalf("mid=%d done=%d, want >=2 strides and exactly one Done", mid, done)
+		t.Fatalf("mid=%d done=%d, want >=2 levels and exactly one Done", mid, done)
 	}
 }
 

@@ -34,7 +34,7 @@ func withGOMAXPROCS(t *testing.T, procs []int, f func(t *testing.T)) {
 	}
 }
 
-// TestRaceParallelReachPingPong hammers ParallelReach on the Fig. 2.1
+// TestRaceParallelReachPingPong hammers Reach on the Fig. 2.1
 // ping-pong, many iterations at several worker counts, checking size
 // stability throughout.
 func TestRaceParallelReachPingPong(t *testing.T) {
@@ -46,7 +46,7 @@ func TestRaceParallelReachPingPong(t *testing.T) {
 		}
 		for iter := 0; iter < 20; iter++ {
 			for _, w := range []int{2, 4, 8} {
-				got, err := parallelReach(a, explore.Options{Workers: w})
+				got, err := engineReach(a, explore.Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,13 +79,13 @@ func TestRaceParallelReachArbiterA3r(t *testing.T) {
 	const budget = 2000
 	want, err := explore.New(explore.Options{Workers: 1, Limit: budget}).Reach(context.Background(), h.A3R)
 	if !errors.Is(err, explore.ErrLimit) {
-		t.Fatalf("sequential Reach err = %v, want ErrLimit (A3R should exceed %d states)", err, budget)
+		t.Fatalf("one-worker Reach err = %v, want ErrLimit (A3R should exceed %d states)", err, budget)
 	}
 	withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T) {
 		for _, w := range []int{2, 8} {
-			got, gotErr := parallelReach(h.A3R, explore.Options{Workers: w, Limit: budget})
+			got, gotErr := engineReach(h.A3R, explore.Options{Workers: w, Limit: budget})
 			if (gotErr == nil) != (err == nil) {
-				t.Fatalf("workers %d: err = %v, sequential err = %v", w, gotErr, err)
+				t.Fatalf("workers %d: err = %v, one-worker err = %v", w, gotErr, err)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("workers %d: %d states, want %d", w, len(got), len(want))
@@ -94,7 +94,7 @@ func TestRaceParallelReachArbiterA3r(t *testing.T) {
 	})
 }
 
-// TestRaceSharedCompositeMemo runs several ParallelReach calls
+// TestRaceSharedCompositeMemo runs several Reach calls
 // concurrently against ONE shared composite, so the memo cache sees
 // simultaneous readers and writers from independent explorations.
 func TestRaceSharedCompositeMemo(t *testing.T) {
@@ -117,7 +117,7 @@ func TestRaceSharedCompositeMemo(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := parallelReach(sys.A3, explore.Options{Workers: 1 + g%4})
+			got, err := engineReach(sys.A3, explore.Options{Workers: 1 + g%4})
 			if err != nil {
 				errs <- err
 				return
@@ -134,8 +134,8 @@ func TestRaceSharedCompositeMemo(t *testing.T) {
 	}
 }
 
-// TestRaceMemoMixedSequentialParallel interleaves sequential Reach and
-// ParallelCheck on one composite — memo reads from the coordinating
+// TestRaceMemoMixedSequentialParallel interleaves one-worker Reach and
+// four-worker CheckInvariant on one composite — memo reads from the coordinating
 // goroutine race-test against worker writes.
 func TestRaceMemoMixedSequentialParallel(t *testing.T) {
 	a := ioa.MustCompose("pp", figures.Fig21A(), figures.Fig21B())
@@ -151,7 +151,7 @@ func TestRaceMemoMixedSequentialParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := parallelCheck(a, explore.Options{Workers: 4}, func(ioa.State) bool { return true })
+			v, err := engineCheck(a, explore.Options{Workers: 4}, func(ioa.State) bool { return true })
 			if err != nil || v != nil {
 				t.Errorf("v=%v err=%v", v, err)
 			}

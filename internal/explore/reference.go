@@ -3,9 +3,9 @@ package explore
 // The pre-store explorer, preserved verbatim as a differential oracle
 // and benchmark baseline. ReferenceReach is the seed string-keyed BFS
 // (map[string]struct{} dedup on State.Key(), successor slices
-// materialized by Next): the store-backed sequential engine must visit
-// states in bit-identical order to it, and BENCH_store.json measures
-// the interned engine against it. It is NOT deprecated — tests and
+// materialized by Next): re-sorted by (BFS depth, key), its result is
+// exactly the order the store-backed engine must visit, and
+// BENCH_store.json measures the interned engine against it. It is NOT deprecated — tests and
 // internal/bench call it on purpose — but production callers want
 // Engine.Reach.
 

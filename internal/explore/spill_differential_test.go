@@ -6,11 +6,9 @@ package explore_test
 // force multiple on-disk runs, so merge-on-lookup and batch
 // merge-intern paths are genuinely exercised:
 //
-//   - sequential Reach over a Spill reproduces ReferenceReach
-//     elementwise;
-//   - the parallel engine over a Spill at workers {1,2,8} reproduces
-//     the RAM-backed engine bit-identically (and hence the canonical
-//     depth-then-key order);
+//   - Reach over a Spill at workers {1,2,8} reproduces the canonical
+//     depth-then-key order elementwise, and the RAM-backed engine
+//     bit-identically;
 //   - Census in external mode (Spill + Decode) agrees with the
 //     materialized walk on states, depth, deadlocks, and verdicts;
 //   - a run file truncated mid-walk surfaces a clean wrapped
@@ -42,34 +40,33 @@ func tinySpill(t *testing.T) *store.SpillOptions {
 	return &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256, BlockEvery: 4}
 }
 
-// TestDifferentialSpillReachSequential: the sequential engine over the
-// disk-spilling store visits states in exactly ReferenceReach's order.
+// TestDifferentialSpillReachSequential: over the disk-spilling store,
+// at workers {1,2,8}, the engine visits states in exactly the canonical
+// depth-then-key order.
 func TestDifferentialSpillReachSequential(t *testing.T) {
-	ctx := context.Background()
 	for name, a := range diffSystems(t) {
-		want, err := explore.ReferenceReach(a, explore.DefaultLimit)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
+		want := sortedLevelOrder(a)
+		for _, w := range diffWorkers {
+			got, err := engineReach(a, explore.Options{Workers: w, Spill: tinySpill(t)})
+			if err != nil {
+				t.Fatalf("%s workers %d: spill engine: %v", name, w, err)
+			}
+			assertKeyOrder(t, fmt.Sprintf("%s workers %d", name, w), want, got)
 		}
-		got, err := explore.New(explore.Options{Workers: 1, Spill: tinySpill(t)}).Reach(ctx, a)
-		if err != nil {
-			t.Fatalf("%s: spill engine: %v", name, err)
-		}
-		assertSameOrder(t, name, want, got)
 	}
 }
 
-// TestDifferentialSpillReachParallel: at workers {1,2,8} the parallel
-// engine over the disk-spilling store is bit-identical to the
-// RAM-backed engine at the same worker count.
+// TestDifferentialSpillReachParallel: at workers {1,2,8} the engine
+// over the disk-spilling store is bit-identical to the RAM-backed
+// engine at the same worker count.
 func TestDifferentialSpillReachParallel(t *testing.T) {
 	for name, a := range diffSystems(t) {
 		for _, w := range []int{1, 2, 8} {
-			ram, err := parallelReach(a, explore.Options{Workers: w})
+			ram, err := engineReach(a, explore.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers %d: ram: %v", name, w, err)
 			}
-			spill, err := parallelReach(a, explore.Options{Workers: w, Spill: tinySpill(t)})
+			spill, err := engineReach(a, explore.Options{Workers: w, Spill: tinySpill(t)})
 			if err != nil {
 				t.Fatalf("%s workers %d: spill: %v", name, w, err)
 			}

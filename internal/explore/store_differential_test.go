@@ -1,19 +1,21 @@
 package explore_test
 
-// PR 5 differential battery extension: the store-backed Engine must
-// visit states in an order bit-identical to the seed explorer at every
-// worker count. ReferenceReach keeps the seed's string-keyed BFS
-// verbatim as the sequential oracle; the parallel oracle is the
-// concatenation of key-sorted BFS levels (the canonical order the seed
-// parallel explorer produced). Also pinned here: the Reach limit edge
-// case (immediate return with a consistent partial order and a wrapped
-// ErrLimit) and context cancellation on every Engine method.
+// Order differential battery: the store-backed Engine must visit states
+// in one canonical order at every worker count — BFS depth order,
+// key-sorted within each depth. ReferenceReach keeps the seed's
+// string-keyed BFS verbatim; re-sorted by (depth, key) it is the
+// oracle, as is the concatenation of key-sorted bfsLevels. Witnesses
+// must likewise be identical at every worker count. Also pinned here:
+// the Reach limit edge case (immediate return with a consistent
+// partial order and a wrapped ErrLimit) and context cancellation on
+// every Engine method.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -81,60 +83,127 @@ func diffSystems(t *testing.T) map[string]ioa.Automaton {
 	return systems
 }
 
-// TestDifferentialOrderSequential: the store-backed sequential engine
-// visits states in exactly the seed explorer's order.
-func TestDifferentialOrderSequential(t *testing.T) {
-	ctx := context.Background()
-	eng := explore.New(explore.Options{Workers: 1})
-	for name, a := range diffSystems(t) {
-		want, err := explore.ReferenceReach(a, explore.DefaultLimit)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
+// assertKeyOrder fails unless got visits exactly the keys of want, in
+// order.
+func assertKeyOrder(t *testing.T, label string, want []string, got []ioa.State) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d states, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key() != want[i] {
+			t.Fatalf("%s: order differs at %d: %q, want %q", label, i, got[i].Key(), want[i])
 		}
-		got, err := eng.Reach(ctx, a)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", name, err)
-		}
-		assertSameOrder(t, name, want, got)
 	}
 }
 
-// TestDifferentialOrderParallel: at workers 1 the engine reproduces the
-// seed BFS order; at workers 2 and 8 it reproduces the canonical
-// depth-then-key order, identically across worker counts.
-func TestDifferentialOrderParallel(t *testing.T) {
-	ctx := context.Background()
-	for name, a := range diffSystems(t) {
-		seq, err := explore.New(explore.Options{Workers: 1}).Reach(ctx, a)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+// referenceLevelOrder re-sorts ReferenceReach's FIFO discovery order by
+// (BFS depth, key): the seed explorer's states in the order the engine
+// must visit them.
+func referenceLevelOrder(t *testing.T, a ioa.Automaton) []string {
+	t.Helper()
+	ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", a.Name(), err)
+	}
+	depth := make(map[string]int)
+	for d, lvl := range bfsLevels(a) {
+		for _, k := range lvl {
+			depth[k] = d
 		}
-		ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	}
+	keys := make([]string, len(ref))
+	for i, s := range ref {
+		keys[i] = s.Key()
+		if _, ok := depth[keys[i]]; !ok {
+			t.Fatalf("%s: reference state %q has no BFS depth", a.Name(), keys[i])
 		}
-		assertSameOrder(t, name+" workers=1", ref, seq)
+	}
+	sort.SliceStable(keys, func(i, j int) bool {
+		if di, dj := depth[keys[i]], depth[keys[j]]; di != dj {
+			return di < dj
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
+}
 
-		canon := sortedLevelOrder(a)
-		var prev []ioa.State
-		for _, w := range []int{2, 8} {
-			got, err := explore.New(explore.Options{Workers: w}).Reach(ctx, a)
+// TestDifferentialOrderSequential: at one worker, as at 2 and 8, the
+// engine visits the seed explorer's states (ReferenceReach) in BFS
+// depth order, key-sorted within each depth. One worker runs the same
+// level engine as many, so its order is no longer FIFO discovery.
+func TestDifferentialOrderSequential(t *testing.T) {
+	for name, a := range diffSystems(t) {
+		want := referenceLevelOrder(t, a)
+		for _, w := range diffWorkers {
+			got, err := engineReach(a, explore.Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", name, w, err)
 			}
-			if len(got) != len(canon) {
-				t.Fatalf("%s workers %d: %d states, want %d", name, w, len(got), len(canon))
+			assertKeyOrder(t, fmt.Sprintf("%s workers %d", name, w), want, got)
+		}
+	}
+}
+
+// TestDifferentialOrderParallel: at workers {1,2,8} the engine
+// reproduces the canonical depth-then-key order, identically across
+// worker counts.
+func TestDifferentialOrderParallel(t *testing.T) {
+	for name, a := range diffSystems(t) {
+		canon := sortedLevelOrder(a)
+		var prev []ioa.State
+		for _, w := range diffWorkers {
+			got, err := engineReach(a, explore.Options{Workers: w})
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", name, w, err)
 			}
-			for i := range canon {
-				if got[i].Key() != canon[i] {
-					t.Fatalf("%s workers %d: order differs at %d: %q, want %q",
-						name, w, i, got[i].Key(), canon[i])
-				}
-			}
+			assertKeyOrder(t, fmt.Sprintf("%s workers %d", name, w), canon, got)
 			if prev != nil {
-				assertSameOrder(t, fmt.Sprintf("%s workers 2 vs %d", name, w), prev, got)
+				assertSameOrder(t, fmt.Sprintf("%s workers 1 vs %d", name, w), prev, got)
 			}
 			prev = got
+		}
+	}
+}
+
+// TestCheckInvariantWitnessAcrossWorkers: for a victim at the end of
+// every BFS level, CheckInvariant reports the same violating state and
+// the same witness, action by action and state by state, at workers
+// {1,2,8}. Each witness is a valid execution of minimal length.
+func TestCheckInvariantWitnessAcrossWorkers(t *testing.T) {
+	for name, a := range diffSystems(t) {
+		for d, lvl := range bfsLevels(a) {
+			victim := lvl[len(lvl)-1]
+			pred := func(s ioa.State) bool { return s.Key() != victim }
+			var first *explore.Violation
+			for _, w := range diffWorkers {
+				label := fmt.Sprintf("%s depth %d workers %d", name, d, w)
+				v, err := engineCheck(a, explore.Options{Workers: w}, pred)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if v == nil || v.State.Key() != victim {
+					t.Fatalf("%s: violation %v, want state %q", label, v, victim)
+				}
+				if err := v.Trace.Validate(true); err != nil {
+					t.Fatalf("%s: invalid witness: %v", label, err)
+				}
+				if len(v.Trace.Acts) != d || v.Trace.Last().Key() != victim {
+					t.Fatalf("%s: witness has %d steps ending at %q, want %d ending at %q",
+						label, len(v.Trace.Acts), v.Trace.Last().Key(), d, victim)
+				}
+				if first == nil {
+					first = v
+					continue
+				}
+				assertSameOrder(t, label+" witness states", first.Trace.States, v.Trace.States)
+				for i, act := range first.Trace.Acts {
+					if v.Trace.Acts[i] != act {
+						t.Fatalf("%s: witness action %d is %q, want %q (as at workers 1)",
+							label, i, v.Trace.Acts[i], act)
+					}
+				}
+			}
 		}
 	}
 }
@@ -189,8 +258,7 @@ func TestReachLimitEdgeCases(t *testing.T) {
 		}
 	}
 	// The random battery again, elementwise: the partial order is a
-	// prefix of (sequential) or consistent with (parallel canonical
-	// order) the unbounded sweep.
+	// prefix of the unbounded sweep's canonical order.
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(base + 950 + seed))

@@ -295,10 +295,9 @@ func (c *checker) visitState(s ioa.State) error {
 	c.cert.Candidates++
 	c.fromEnc = ioa.AppendState(c.fromEnc[:0], s)
 
-	// Enabled(s) merged with the inputs, sorted: the actionScratch
-	// idiom from explore. Inputs are enabled everywhere
-	// (input-enabledness, §2.1), locally-controlled actions outside
-	// Enabled(s) have no step, and sorting fixes the CTI order.
+	// Enabled(s) merged with the inputs, sorted. Inputs are enabled
+	// everywhere (input-enabledness, §2.1), locally-controlled actions
+	// outside Enabled(s) have no step, and sorting fixes the CTI order.
 	c.actBuf = append(c.actBuf[:0], c.a.Enabled(s)...)
 	c.actBuf = append(c.actBuf, c.inputs...)
 	sortActions(c.actBuf)

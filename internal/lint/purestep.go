@@ -9,8 +9,8 @@ import (
 // registered through the internal/ioa builder (Def.Input, InputND,
 // Output, OutputND, Internal, InternalND) never write through their
 // incoming state. The model requires Next to be a pure function of
-// its arguments: explored states are shared between the sequential
-// and parallel engines, memoized by the composition cache, and
+// its arguments: explored states are shared between the engine's
+// workers, memoized by the composition cache, and
 // compared by canonical key, so in-place mutation corrupts the state
 // graph silently.
 //

@@ -221,7 +221,7 @@ func newFaultMetrics(r *Registry) *FaultMetrics {
 // StoreMetrics instruments the interned state store behind the
 // explorers (internal/store): how many distinct states are interned
 // and how many encoded bytes the shard arenas hold. Both are gauges
-// set at level barriers (and at the end of sequential sweeps), so a
+// set at level barriers, so a
 // live /debug/vars scrape shows the current exploration's footprint;
 // bytes-per-state is ArenaBytes/Occupancy.
 type StoreMetrics struct {

@@ -17,8 +17,7 @@ type Progress struct {
 	// exploration, visited domain states for induction.
 	States int64 `json:"states"`
 	// Frontier is the number of states still awaiting expansion (the
-	// current BFS level, or the unexpanded suffix of a sequential
-	// sweep); 0 when unknown.
+	// current BFS level); 0 when unknown.
 	Frontier int64 `json:"frontier,omitempty"`
 	// Total is the known total work when the walk can bound it (the
 	// induction domain's size); 0 when open-ended.

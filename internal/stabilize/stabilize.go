@@ -61,8 +61,8 @@ import (
 
 // Options parameterizes certification.
 type Options struct {
-	// Workers is the explore engine's worker count (0 = GOMAXPROCS,
-	// 1 = sequential).
+	// Workers is the explore engine's worker count (0 = GOMAXPROCS).
+	// The certificate is the same at every count.
 	Workers int
 	// Limit bounds the envelope closure (0 = explore.DefaultLimit).
 	// Hitting the limit is an error: a certificate over a truncated

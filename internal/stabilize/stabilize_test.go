@@ -77,9 +77,10 @@ func TestCertifyBoundedChain(t *testing.T) {
 	if cert.EnvelopeStates != 4 || cert.States != 4 || cert.LegitStates != 1 {
 		t.Fatalf("sizes: %+v", cert)
 	}
-	// Sequential closure keeps envelope order, so the rounds table is
-	// pinned exactly.
-	want := []int{3, 2, 1, 0}
+	// The closure lists states in BFS order, key-sorted within a
+	// depth; all four envelope states are depth-0 starts, so the rounds
+	// table is pinned exactly in key order "0".."3".
+	want := []int{0, 1, 2, 3}
 	for i, r := range cert.Rounds {
 		if r != want[i] {
 			t.Fatalf("rounds %v, want %v", cert.Rounds, want)

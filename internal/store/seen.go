@@ -7,8 +7,8 @@ package store
 // in-RAM arena Store is one implementation; Spill (spill.go) is the
 // disk-backed second, which keeps a bounded hot batch in memory and
 // flushes delta-encoded sorted runs to disk. The engines are written
-// against these interfaces, so sequential and parallel BFS run
-// unchanged over either backend.
+// against these interfaces, so the BFS engines run unchanged over
+// either backend, and NewSeen is the one place that picks it.
 
 import "repro/internal/ioa"
 
@@ -53,6 +53,20 @@ type SeenSet interface {
 	Err() error
 	// Close releases any resources (run files, spill directories).
 	Close() error
+}
+
+// NewSeen builds a seen set: the disk-spilling store when spill is
+// non-nil, the in-RAM arena otherwise. canon, when non-nil, quotients
+// either backend by a symmetry.
+func NewSeen(spill *SpillOptions, canon Canonicalizer) (SeenSet, error) {
+	if spill != nil {
+		sp, err := NewSpill(*spill, canon)
+		if err != nil {
+			return nil, err
+		}
+		return sp, nil
+	}
+	return New(Options{Canon: canon}), nil
 }
 
 // Probe returns the arena store's probe behind the MemberProbe

@@ -80,9 +80,6 @@ type SpillOptions struct {
 	// BloomBitsPerKey sizes each run's bloom filter; 0 means 10
 	// (~1% false-positive rate at 6 probes).
 	BloomBitsPerKey int
-	// Canon, when non-nil, canonicalizes states before encoding, as in
-	// store.Options.
-	Canon Canonicalizer
 	// AfterFlush, when non-nil, runs after each run file is written
 	// and indexed, with the run's path. Tests use it to truncate a run
 	// mid-record and assert the clean corruption error.
@@ -242,8 +239,9 @@ type Spill struct {
 	closed bool
 }
 
-// NewSpill builds an empty disk-spilling seen set.
-func NewSpill(opts SpillOptions) (*Spill, error) {
+// NewSpill builds an empty disk-spilling seen set. canon, when
+// non-nil, canonicalizes states before encoding, as in store.Options.
+func NewSpill(opts SpillOptions, canon Canonicalizer) (*Spill, error) {
 	dir, ownDir := opts.Dir, false
 	if dir == "" {
 		d, err := os.MkdirTemp("", "ioaspill-*")
@@ -258,7 +256,7 @@ func NewSpill(opts SpillOptions) (*Spill, error) {
 		opts:        opts,
 		dir:         dir,
 		ownDir:      ownDir,
-		canon:       opts.Canon,
+		canon:       canon,
 		budget:      opts.MemBudget,
 		blockEvery:  opts.BlockEvery,
 		bloomPerKey: opts.BloomBitsPerKey,

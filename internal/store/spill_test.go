@@ -23,7 +23,7 @@ func newTestSpill(t *testing.T, opts SpillOptions) *Spill {
 	if opts.BlockEvery == 0 {
 		opts.BlockEvery = 4
 	}
-	sp, err := NewSpill(opts)
+	sp, err := NewSpill(opts, nil)
 	if err != nil {
 		t.Fatalf("NewSpill: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestSpillTruncatedRunFailsMergeIntern(t *testing.T) {
 // TestSpillCloseRemovesOwnedDir: a Dir-less spill owns a temp dir and
 // removes it wholesale; a caller-dir spill removes only its run files.
 func TestSpillCloseRemovesOwnedDir(t *testing.T) {
-	sp, err := NewSpill(SpillOptions{MemBudget: 128})
+	sp, err := NewSpill(SpillOptions{MemBudget: 128}, nil)
 	if err != nil {
 		t.Fatalf("NewSpill: %v", err)
 	}
@@ -330,7 +330,7 @@ func TestSpillCloseRemovesOwnedDir(t *testing.T) {
 	}
 
 	userDir := t.TempDir()
-	sp2, err := NewSpill(SpillOptions{Dir: userDir, MemBudget: 128})
+	sp2, err := NewSpill(SpillOptions{Dir: userDir, MemBudget: 128}, nil)
 	if err != nil {
 		t.Fatalf("NewSpill: %v", err)
 	}

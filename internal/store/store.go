@@ -19,11 +19,10 @@
 // coordinator.
 //
 // Determinism. IDs are assigned in insertion order, so a caller that
-// interns states in a canonical order (BFS discovery order for the
-// sequential explorer; per-level key-sorted order for the parallel
-// one) gets IDs whose numeric order reproduces that canonical order.
-// The explorers rely on this to keep witness-trace canonicalization
-// bit-identical to the string-keyed seed implementation.
+// interns states in a canonical order (per-level key-sorted order for
+// explore's level-synchronized BFS) gets IDs whose numeric order
+// reproduces that canonical order. The explorer relies on this to keep
+// witness-trace canonicalization independent of the worker count.
 package store
 
 import (
